@@ -1,0 +1,48 @@
+//! Order statistics over timing samples.
+
+/// Median of `xs` (mean of the middle pair for even lengths); 0 when empty.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Nearest-rank percentile `p` (0–100) of `xs`; 0 when empty.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
+    v[rank.clamp(1, v.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_of_odd_and_even_lengths() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 50.0), 50.0);
+        assert_eq!(percentile(&xs, 99.0), 99.0);
+        assert_eq!(percentile(&xs, 100.0), 100.0);
+        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+    }
+}
