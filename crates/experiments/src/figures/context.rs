@@ -5,7 +5,7 @@ use icp_core::ExecutionOutcome;
 use icp_workloads::{suite, BenchmarkSpec};
 
 use crate::runner::{ExperimentConfig, Scheme};
-use crate::sched::{self, SchedStats};
+use crate::sched::{self, Cell, SchedStats};
 
 /// Outcomes of the whole suite under the four principal schemes.
 pub struct SuiteData {
@@ -35,26 +35,13 @@ impl SuiteData {
 
     /// [`Self::collect`] returning the scheduler statistics of the pass.
     ///
-    /// Jobs go to the LPT queue with an estimated cost of
-    /// [`sched::job_cost`], with the first-scheme cell of every benchmark
-    /// weighted ×[`GENERATION_WEIGHT`]: those 9 cells pay the one-time
-    /// trace generation for their benchmark, so ordering them first (a)
-    /// overlaps the 9 generations with each other across workers and (b)
-    /// overlaps them with simulation of already-generated benchmarks —
-    /// instead of every worker piling onto the first benchmark's cells
-    /// and waiting on its trace-cache slot.
+    /// The 36 cells run as one scheduler map (`sched::run_cells`). Its
+    /// generation-first costs front-load the first-scheme cell of every
+    /// benchmark, the one that pays the benchmark's trace generation.
     pub fn collect_with_stats(cfg: &ExperimentConfig) -> (SuiteData, SchedStats) {
         let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
         let benches = suite::all();
-        let jobs = Self::jobs(&benches);
-        let (outs, stats) = sched::weighted_map_stats(
-            jobs,
-            |(i, s)| {
-                let base = sched::job_cost(&benches[*i], cfg);
-                if *s == Self::SCHEMES[0] { base.saturating_mul(GENERATION_WEIGHT) } else { base }
-            },
-            |(i, s)| cfg.run(&benches[*i], s),
-        );
+        let (outs, stats) = sched::run_cells(Self::cells(cfg, &benches));
         (Self::demux(benches, outs), stats)
     }
 
@@ -65,8 +52,7 @@ impl SuiteData {
     pub fn collect_flat(cfg: &ExperimentConfig) -> SuiteData {
         let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
         let benches = suite::all();
-        let jobs = Self::jobs(&benches);
-        let outs = sched::flat_map_unarbitrated(jobs, |(i, s)| cfg.run(&benches[*i], s));
+        let outs = sched::flat_map_unarbitrated(Self::cells(cfg, &benches), Cell::run);
         Self::demux(benches, outs)
     }
 
@@ -78,11 +64,11 @@ impl SuiteData {
         Scheme::UcpThroughput,
     ];
 
-    fn jobs(benches: &[BenchmarkSpec]) -> Vec<(usize, Scheme)> {
+    /// Every (benchmark × scheme) cell, benchmark-major.
+    fn cells<'a>(cfg: &'a ExperimentConfig, benches: &'a [BenchmarkSpec]) -> Vec<Cell<'a>> {
         benches
             .iter()
-            .enumerate()
-            .flat_map(|(i, _)| Self::SCHEMES.iter().cloned().map(move |s| (i, s)))
+            .flat_map(|b| Self::SCHEMES.iter().map(move |s| Cell::new(cfg, b, s.clone())))
             .collect()
     }
 
@@ -131,12 +117,6 @@ impl SuiteData {
     }
 }
 
-/// Cost multiplier for the one cell per benchmark that pays trace
-/// generation (the first scheme to request a workload generates; the
-/// other three replay). Generation dominates a cold cell's cost, so the
-/// LPT queue should front-load these nine cells.
-const GENERATION_WEIGHT: u64 = 6;
-
 /// Shared test fixture: one suite collection at test scale for the whole
 /// crate's test binary (collection is by far the most expensive step).
 #[cfg(test)]
@@ -144,4 +124,26 @@ pub(crate) fn test_data() -> &'static SuiteData {
     use std::sync::OnceLock;
     static DATA: OnceLock<SuiteData> = OnceLock::new();
     DATA.get_or_init(|| SuiteData::collect(&ExperimentConfig::test()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn suite_costs_weight_the_first_scheme_of_each_benchmark() {
+        // The figure pass's LPT claim order: every benchmark's first-scheme
+        // cell pays its trace generation (job cost × GENERATION_WEIGHT),
+        // the other three replay at plain job cost.
+        let cfg = ExperimentConfig::test();
+        let benches = suite::all();
+        let expected: Vec<u64> = benches
+            .iter()
+            .flat_map(|b| {
+                let cost = sched::job_cost(b, &cfg);
+                [cost * sched::GENERATION_WEIGHT, cost, cost, cost]
+            })
+            .collect();
+        assert_eq!(sched::generation_first_costs(&SuiteData::cells(&cfg, &benches)), expected);
+    }
 }

@@ -24,6 +24,7 @@ pub mod result_cache;
 pub mod runner;
 pub mod sched;
 pub mod scorecard;
+mod single_flight;
 pub mod sweeps;
 pub mod table;
 pub mod trace_cache;

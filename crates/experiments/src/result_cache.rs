@@ -21,13 +21,13 @@
 //! Determinism contract: the simulator is bit-deterministic, so a cached
 //! outcome is byte-identical to the simulation it replaces (`f64` values
 //! round-trip exactly through the shortest-representation JSON writer).
-//! The map is a `BTreeMap` — iteration order (e.g. [`ResultCache::totals`])
-//! is key order, never hash order.
+//! The entry map is single-flight (`SingleFlight`, a `BTreeMap`
+//! underneath) — iteration order (e.g. [`ResultCache::totals`]) is key
+//! order, never hash order.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use icp_cmp_sim::stats::{InteractionStats, ThreadCounters};
 use icp_cmp_sim::UmonProfile;
@@ -37,6 +37,7 @@ use icp_workloads::BenchmarkSpec;
 
 use crate::json::Json;
 use crate::runner::{ExperimentConfig, Scheme};
+use crate::single_flight::SingleFlight;
 
 /// Schema tag of the persisted entry files; bump when the outcome layout
 /// changes so stale files invalidate themselves.
@@ -63,11 +64,12 @@ pub struct CacheTotals {
 ///
 /// Counters mirror [`crate::trace_cache::TraceCache`]: `simulations()`
 /// counts cache misses that ran the simulator, `hits()` counts runs served
-/// from memory or disk, so "zero simulations on a warm rerun" is a testable
-/// property.
+/// from memory or disk (including requests that waited for a concurrent
+/// requester's simulation), so "zero simulations on a warm rerun" is a
+/// testable property.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    entries: Mutex<BTreeMap<String, Arc<ExecutionOutcome>>>,
+    entries: SingleFlight<Arc<ExecutionOutcome>>,
     dir: Option<PathBuf>,
     simulations: AtomicU64,
     hits: AtomicU64,
@@ -111,37 +113,34 @@ impl ResultCache {
 
     /// Returns the outcome for `key`, running `simulate` on a miss.
     ///
-    /// Lookup checks memory, then disk (when persistent). Simulation runs
-    /// *outside* the lock so parallel scheme runs with distinct keys never
-    /// serialise; keys within one figures/sweeps pass are distinct, so no
-    /// work is duplicated in practice.
+    /// The entry map is single-flight: the first requester of a key claims
+    /// it and checks disk (when persistent), then simulates, both *outside*
+    /// the lock, so parallel runs with distinct keys never serialise.
+    /// Requests for the same key can arrive concurrently (a sweep plan runs
+    /// the interval axis's hoisted baselines at every point in one
+    /// scheduler map); they wait for the claimant's outcome and count as
+    /// hits, so each key is simulated at most once.
     pub fn get_or_run(
         &self,
         key: String,
         scheme_name: &'static str,
         simulate: impl FnOnce() -> ExecutionOutcome,
     ) -> ExecutionOutcome {
-        {
-            let map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(out) = map.get(&key) {
+        let (out, hit) = self.entries.get_or_compute(key, |key| {
+            if let Some(out) = self.load(key, scheme_name) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return ExecutionOutcome::clone(out);
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::new(out);
             }
-        }
-        if let Some(out) = self.load(&key, scheme_name) {
+            let out = simulate();
+            self.simulations.fetch_add(1, Ordering::Relaxed);
+            self.store(key, &out);
+            Arc::new(out)
+        });
+        if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            let out = Arc::new(out);
-            let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            map.insert(key, Arc::clone(&out));
-            return ExecutionOutcome::clone(&out);
         }
-        let out = simulate();
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.store(&key, &out);
-        let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, Arc::new(out.clone()));
-        out
+        ExecutionOutcome::clone(&out)
     }
 
     /// Number of simulations executed (cache misses).
@@ -165,9 +164,10 @@ impl ResultCache {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Number of cached outcomes (in memory).
+    /// Number of cached outcomes (in memory; simulations in flight don't
+    /// count until published).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.entries.len()
     }
 
     /// True when nothing has been cached yet.
@@ -177,10 +177,9 @@ impl ResultCache {
 
     /// Aggregate counters over the cached outcomes, folded in key order.
     pub fn totals(&self) -> CacheTotals {
-        let map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut t = CacheTotals::default();
-        // ORDER: folded in BTreeMap key order — deterministic by contract.
-        for out in map.values() {
+        // ORDER: folded in key order over ready entries — deterministic by
+        // contract.
+        self.entries.fold(CacheTotals::default(), |mut t, out| {
             let mut acc = out.wall_cycles;
             for c in &out.thread_totals {
                 t.accesses += c.l1_hits + c.l1_misses;
@@ -194,8 +193,8 @@ impl ResultCache {
             }
             t.sim_cycles += out.wall_cycles;
             t.digest = t.digest.wrapping_mul(1_000_003).wrapping_add(acc);
-        }
-        t
+            t
+        })
     }
 
     /// The file a key persists under: scheme-prefixed so one scheme's
@@ -591,6 +590,69 @@ mod tests {
         assert!(outcomes_equal(&profiled_cold, &profiled_warm));
         assert!(profiled_warm.umon_profile.is_some(), "profile survives the round-trip");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_key_simulate_once() {
+        let cache = ResultCache::new();
+        let cfg = ExperimentConfig::test();
+        let bench = suite::ft();
+        let key = ResultCache::key(&bench, &cfg, &Scheme::Shared, false);
+        let calls = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(2);
+        let request = || {
+            start.wait();
+            cache.get_or_run(key.clone(), "shared", || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                cfg.run(&bench, &Scheme::Shared)
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(request);
+            let mine = request();
+            (mine, other.join().expect("requester thread"))
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one simulation for one key");
+        assert_eq!((cache.simulations(), cache.hits()), (1, 1));
+        assert_eq!(cache.len(), 1);
+        assert!(outcomes_equal(&a, &b), "both requesters get the same outcome");
+    }
+
+    #[test]
+    fn a_panicking_simulation_hands_the_claim_to_a_waiter() {
+        // The claimant holds the key until a second requester has parked
+        // on it, then panics mid-simulation. The waiter must wake, claim
+        // the key itself and finish.
+        let cache = ResultCache::new();
+        let cfg = ExperimentConfig::test();
+        let bench = suite::ft();
+        let key = ResultCache::key(&bench, &cfg, &Scheme::Shared, false);
+        let parked = || cache.entries.parked.load(Ordering::SeqCst);
+        let claimed = std::sync::Barrier::new(2);
+        let (failed, served) = std::thread::scope(|s| {
+            let claimant = s.spawn(|| {
+                cache.get_or_run(key.clone(), "shared", || {
+                    claimed.wait();
+                    // Bounded, so a cache that never parks fails the
+                    // assertion below instead of hanging.
+                    let start = std::time::Instant::now();
+                    while parked() == 0 && start.elapsed().as_secs() < 10 {
+                        std::thread::yield_now();
+                    }
+                    panic!("simulation failed");
+                })
+            });
+            claimed.wait();
+            let waiter = s.spawn(|| {
+                cache.get_or_run(key.clone(), "shared", || cfg.run(&bench, &Scheme::Shared))
+            });
+            (claimant.join().is_err(), waiter.join().expect("waiter finishes"))
+        });
+        assert!(failed, "the claimant's panic reaches its caller");
+        assert_eq!(parked(), 1, "the waiter parked on the pending claim");
+        assert_eq!(served.wall_cycles, cfg.run(&bench, &Scheme::Shared).wall_cycles);
+        assert_eq!((cache.simulations(), cache.hits()), (1, 0), "the waiter simulated");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

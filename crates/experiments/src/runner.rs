@@ -234,6 +234,17 @@ impl ExperimentConfig {
         }
     }
 
+    /// The trace-cache key a run of `bench` replays from: runs with equal
+    /// keys share one workload generation.
+    pub(crate) fn trace_key(&self, bench: &BenchmarkSpec) -> String {
+        crate::trace_cache::TraceCache::key(
+            &self.normalized(bench),
+            &self.system,
+            self.scale,
+            self.seed,
+        )
+    }
+
     /// One full simulation of `spec` (already normalised) under `scheme`,
     /// with a profiling utility monitor attached when `profile` is set.
     /// Monolithic configs run the serial [`Simulator`]; sliced configs
@@ -265,7 +276,13 @@ impl ExperimentConfig {
         runtime.execute(sim)
     }
 
-    fn run_inner(&self, bench: &BenchmarkSpec, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
+    /// [`Self::run`] or, with `profile` set, [`Self::run_profiled`].
+    pub(crate) fn run_inner(
+        &self,
+        bench: &BenchmarkSpec,
+        scheme: &Scheme,
+        profile: bool,
+    ) -> ExecutionOutcome {
         let spec = self.normalized(bench);
         match &self.result_cache {
             Some(cache) => {

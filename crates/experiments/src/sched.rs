@@ -22,16 +22,22 @@
 //! *when and where* jobs run; outputs are stitched back into input order,
 //! so results are bit-identical at every budget value (pinned by
 //! `tests/determinism.rs`).
+//!
+//! Multi-run passes (the figure matrix, every sweep axis) plan their
+//! simulations up front as `Cell`s and hand them to `run_cells` as one
+//! map, costed by one generation-first rule (`generation_first_costs`).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
+use icp_core::ExecutionOutcome;
 use icp_workloads::BenchmarkSpec;
 
 pub use icp_cmp_sim::budget;
 use icp_cmp_sim::budget::Lease;
 
-use crate::runner::ExperimentConfig;
+use crate::runner::{ExperimentConfig, Scheme};
 
 /// What a scheduled pass actually used: observability for the bench
 /// harness and the thread-ceiling regression tests.
@@ -180,6 +186,73 @@ pub fn job_cost(bench: &BenchmarkSpec, cfg: &ExperimentConfig) -> u64 {
     let cores = cfg.system.cores.max(1) as u64;
     let slices = u64::from(cfg.system.llc.slices.max(1));
     insts.saturating_mul(cores).saturating_mul(slices)
+}
+
+/// Cost multiplier for the cell that pays a workload's one-time trace
+/// generation: the first cell to request a workload generates it, every
+/// later cell with the same trace-cache key replays it. Generation
+/// dominates a cold cell's cost, so the LPT queue should front-load these
+/// cells.
+pub(crate) const GENERATION_WEIGHT: u64 = 6;
+
+/// One simulation of a planned pass: `bench` under `scheme` on `cfg`,
+/// plain ([`ExperimentConfig::run`]) or with a profiling utility monitor
+/// ([`ExperimentConfig::run_profiled`]).
+#[derive(Debug)]
+pub(crate) struct Cell<'a> {
+    /// The configuration the cell runs under.
+    pub(crate) cfg: &'a ExperimentConfig,
+    /// The benchmark (normalised to `cfg`'s core count by the runner).
+    pub(crate) bench: &'a BenchmarkSpec,
+    /// The partitioning scheme.
+    pub(crate) scheme: Scheme,
+    /// Whether the run carries a profiling utility monitor.
+    pub(crate) profiled: bool,
+}
+
+impl<'a> Cell<'a> {
+    /// A plain (unprofiled) cell.
+    pub(crate) fn new(
+        cfg: &'a ExperimentConfig,
+        bench: &'a BenchmarkSpec,
+        scheme: Scheme,
+    ) -> Self {
+        Cell { cfg, bench, scheme, profiled: false }
+    }
+
+    /// Runs the cell through the configuration's caches.
+    pub(crate) fn run(&self) -> ExecutionOutcome {
+        self.cfg.run_inner(self.bench, &self.scheme, self.profiled)
+    }
+}
+
+/// LPT costs of a planned pass, generation first: [`job_cost`] per cell,
+/// times [`GENERATION_WEIGHT`] for the first cell (in input order) of every
+/// distinct trace-cache key. That cell generates the workload, so ordering
+/// it first overlaps generations with each other across workers and with
+/// simulation of already-generated workloads, instead of every worker
+/// piling onto one workload's cells and waiting on its trace-cache slot.
+pub(crate) fn generation_first_costs(cells: &[Cell<'_>]) -> Vec<u64> {
+    let mut generated = BTreeSet::new();
+    cells
+        .iter()
+        .map(|c| {
+            let cost = job_cost(c.bench, c.cfg);
+            if generated.insert(c.cfg.trace_key(c.bench)) {
+                cost.saturating_mul(GENERATION_WEIGHT)
+            } else {
+                cost
+            }
+        })
+        .collect()
+}
+
+/// Runs every cell of a planned pass as one [`weighted_map_stats`] map,
+/// costed by [`generation_first_costs`]. Outputs come back in input order.
+pub(crate) fn run_cells(cells: Vec<Cell<'_>>) -> (Vec<ExecutionOutcome>, SchedStats) {
+    let costs = generation_first_costs(&cells);
+    let jobs: Vec<(Cell<'_>, u64)> = cells.into_iter().zip(costs).collect();
+    weighted_map_stats(jobs, |(_, cost)| *cost, |(cell, _)| cell.run())
 }
 
 /// Shared pool executor: spawns one scoped worker per `extras` entry
@@ -354,6 +427,29 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "job panic must reach the caller");
+    }
+
+    #[test]
+    fn generation_first_costs_weight_the_first_cell_of_each_trace_key() {
+        let cfg = ExperimentConfig::test();
+        let later = {
+            let mut c = cfg.clone();
+            // Interval length is not part of the trace key: same workload.
+            c.system.interval_instructions /= 2;
+            c
+        };
+        let (cg, ft) = (icp_workloads::suite::cg(), icp_workloads::suite::ft());
+        let cells = vec![
+            Cell::new(&cfg, &cg, Scheme::Shared),
+            Cell::new(&cfg, &cg, Scheme::ModelBased),
+            Cell::new(&cfg, &ft, Scheme::Shared),
+            Cell::new(&later, &cg, Scheme::Shared),
+        ];
+        let (cg_cost, ft_cost) = (job_cost(&cg, &cfg), job_cost(&ft, &cfg));
+        assert_eq!(
+            generation_first_costs(&cells),
+            vec![cg_cost * GENERATION_WEIGHT, cg_cost, ft_cost * GENERATION_WEIGHT, cg_cost]
+        );
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! should also check that its conclusions are not an artifact of one cache
 //! size or interval length. Each sweep runs a probe subset of the suite
 //! under shared / static-equal / model-based and reports the dynamic
-//! scheme's improvements at every point.
+//! scheme's improvements at every point. An axis is planned up front: all
+//! of its point × probe × scheme simulations run in one scheduler map, so
+//! the axis keeps every core busy instead of three jobs at a time.
 
 use icp_cmp_sim::CacheConfig;
+use icp_core::ExecutionOutcome;
 use icp_numeric::stats;
 use icp_workloads::{suite, BenchmarkSpec};
 
 use crate::miss_model::BenchPredictor;
 use crate::runner::{ExperimentConfig, Scheme};
+use crate::sched::{self, Cell, SchedStats};
 use crate::table::{pct, Table};
 
 /// Default fast-mode fallback margin, in improvement percentage points: a
@@ -50,26 +54,105 @@ fn probes() -> Vec<icp_workloads::BenchmarkSpec> {
     vec![suite::swim(), suite::cg(), suite::ft()]
 }
 
-/// Exact improvements for one probe: baselines run under `baseline` (the
-/// hoisted configuration — identical to `point` except on the interval
-/// axis, where static-scheme walls are interval-invariant, see
-/// `static_scheme_walls_are_interval_invariant`), the dynamic scheme under
-/// `point`.
-fn measure_exact(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
-    bench: &BenchmarkSpec,
-) -> (f64, f64) {
-    let jobs = vec![
-        (baseline.clone(), Scheme::Shared),
-        (baseline.clone(), Scheme::StaticEqual),
-        (point.clone(), Scheme::ModelBased),
-    ];
-    let outs = crate::sched::parallel_map(jobs, |(cfg, s)| cfg.run(bench, s));
-    (
-        outs[2].improvement_percent_over(&outs[0]),
-        outs[2].improvement_percent_over(&outs[1]),
-    )
+/// One point of a sweep axis.
+struct AxisPoint {
+    /// The point's label in the table's first column.
+    label: String,
+    /// The configuration the dynamic scheme runs under.
+    config: ExperimentConfig,
+    /// The configuration the static baselines run under: `config` itself,
+    /// except on the interval axis, where they are hoisted to the base
+    /// interval (static-scheme walls are interval-invariant, see
+    /// `static_scheme_walls_are_interval_invariant`).
+    baseline: ExperimentConfig,
+}
+
+impl AxisPoint {
+    /// A point whose baselines run under its own configuration.
+    fn new(label: String, config: ExperimentConfig) -> Self {
+        AxisPoint { label, baseline: config.clone(), config }
+    }
+}
+
+/// A sweep axis: its table shape and its points.
+struct Axis {
+    title: &'static str,
+    column: &'static str,
+    points: Vec<AxisPoint>,
+}
+
+impl Axis {
+    /// Measures every point and renders the table, returning the
+    /// statistics of every scheduler map the plan ran.
+    fn run(&self, mode: SweepMode) -> (Table, Vec<SchedStats>) {
+        let (means, maps) = measure(&self.points, &probes(), mode);
+        let mut t = Table::new(self.title, &[self.column, "vs shared", "vs equal"]);
+        for (p, (s, e)) in self.points.iter().zip(means) {
+            t.row(vec![p.label.clone(), pct(s), pct(e)]);
+        }
+        (t, maps)
+    }
+}
+
+/// The configuration an axis varies: `cfg` with a trace and a result cache
+/// attached (unless it brings its own), shared by every point.
+fn axis_base(cfg: &ExperimentConfig) -> ExperimentConfig {
+    cfg.with_default_trace_cache().with_default_result_cache()
+}
+
+/// Mean improvements of the dynamic scheme over (shared, equal) across
+/// `probes` at every point, plus the statistics of each scheduler map.
+///
+/// The plan covers the whole axis at once. Exact mode runs every point ×
+/// probe × scheme cell in one [`sched::run_cells`] map. Fast mode runs
+/// every profiling simulation in one map, then the exact cells of every
+/// (point, probe) pair the predictor could not settle in a second one.
+fn measure(
+    points: &[AxisPoint],
+    probes: &[BenchmarkSpec],
+    mode: SweepMode,
+) -> (Vec<(f64, f64)>, Vec<SchedStats>) {
+    let pairs: Vec<(&AxisPoint, &BenchmarkSpec)> =
+        points.iter().flat_map(|p| probes.iter().map(move |b| (p, b))).collect();
+    let (per_pair, maps) = match mode {
+        SweepMode::Exact => {
+            let (outs, stats) = sched::run_cells(exact_cells(&pairs));
+            (improvements(&outs), vec![stats])
+        }
+        SweepMode::Fast { margin } => predict_or_simulate(&pairs, margin),
+    };
+    let means = per_pair
+        .chunks(probes.len())
+        .map(|point| {
+            let (vs_shared, vs_equal): (Vec<f64>, Vec<f64>) = point.iter().copied().unzip();
+            (stats::mean(&vs_shared), stats::mean(&vs_equal))
+        })
+        .collect();
+    (means, maps)
+}
+
+/// The three exact cells of every pair, pair-major: shared and
+/// static-equal under the point's baseline configuration, then the dynamic
+/// scheme under its own.
+fn exact_cells<'a>(pairs: &[(&'a AxisPoint, &'a BenchmarkSpec)]) -> Vec<Cell<'a>> {
+    pairs
+        .iter()
+        .flat_map(|&(p, bench)| {
+            [
+                Cell::new(&p.baseline, bench, Scheme::Shared),
+                Cell::new(&p.baseline, bench, Scheme::StaticEqual),
+                Cell::new(&p.config, bench, Scheme::ModelBased),
+            ]
+        })
+        .collect()
+}
+
+/// Per-pair (vs shared, vs equal) improvements from [`exact_cells`]
+/// outcomes.
+fn improvements(outs: &[ExecutionOutcome]) -> Vec<(f64, f64)> {
+    outs.chunks(3)
+        .map(|o| (o[2].improvement_percent_over(&o[0]), o[2].improvement_percent_over(&o[1])))
+        .collect()
 }
 
 /// The static scheme the fast path profiles at: the flat equal split on
@@ -92,50 +175,46 @@ fn profile_anchor(point: &ExperimentConfig) -> Scheme {
     }
 }
 
-/// Fast-path improvements for one probe: predict from one profiled
-/// static-equal run (re-anchored per cluster on sliced configs, see
-/// [`profile_anchor`]), falling back to exact simulation for near-zero
-/// predictions (sign must be simulation-confirmed) or an unusable profile.
-fn measure_fast(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
-    bench: &BenchmarkSpec,
+/// Fast-path improvements for every pair: predict from one profiled
+/// static-equal run under the pair's baseline configuration (re-anchored
+/// per cluster on sliced configs, see [`profile_anchor`]), falling back
+/// to exact simulation for near-zero predictions (signs must be
+/// simulation-confirmed) or an unusable profile.
+fn predict_or_simulate(
+    pairs: &[(&AxisPoint, &BenchmarkSpec)],
     margin: f64,
-) -> (f64, f64) {
-    let profile = baseline.run_profiled(bench, &profile_anchor(baseline));
-    match BenchPredictor::from_outcome(&profile, &point.system) {
-        Some(p) => {
-            let (s, e) = p.improvements();
-            if s.abs() < margin || e.abs() < margin {
-                measure_exact(point, baseline, bench)
-            } else {
-                (s, e)
-            }
-        }
-        None => measure_exact(point, baseline, bench),
-    }
+) -> (Vec<(f64, f64)>, Vec<SchedStats>) {
+    let profile_cells = pairs
+        .iter()
+        .map(|&(p, bench)| Cell {
+            profiled: true,
+            ..Cell::new(&p.baseline, bench, profile_anchor(&p.baseline))
+        })
+        .collect();
+    let (profiles, profiling) = sched::run_cells(profile_cells);
+    let predicted: Vec<Option<(f64, f64)>> = pairs
+        .iter()
+        .zip(&profiles)
+        .map(|(&(p, _), profile)| {
+            BenchPredictor::from_outcome(profile, &p.config.system)
+                .map(|pred| pred.improvements())
+                .filter(|(s, e)| !(s.abs() < margin || e.abs() < margin))
+        })
+        .collect();
+    let fallback: Vec<(&AxisPoint, &BenchmarkSpec)> = pairs
+        .iter()
+        .zip(&predicted)
+        .filter(|(_, p)| p.is_none())
+        .map(|(&pair, _)| pair)
+        .collect();
+    let (outs, fallbacks) = sched::run_cells(exact_cells(&fallback));
+    let mut exact = improvements(&outs).into_iter();
+    let per_pair = predicted
+        .into_iter()
+        .map(|p| p.unwrap_or_else(|| exact.next().expect("one exact result per fallback pair")))
+        .collect();
+    (per_pair, vec![profiling, fallbacks])
 }
-
-/// Mean improvements of the dynamic scheme over (shared, equal) across the
-/// probe set for one configuration.
-fn measure_with(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
-    mode: SweepMode,
-) -> (f64, f64) {
-    let mut vs_shared = Vec::new();
-    let mut vs_equal = Vec::new();
-    for b in probes() {
-        let (s, e) = match mode {
-            SweepMode::Exact => measure_exact(point, baseline, &b),
-            SweepMode::Fast { margin } => measure_fast(point, baseline, &b, margin),
-        };
-        vs_shared.push(s);
-        vs_equal.push(e);
-    }
-    (stats::mean(&vs_shared), stats::mean(&vs_equal))
-}
-
 
 /// Sweeps the L2 capacity (way count held at 64; sets scale).
 ///
@@ -148,18 +227,24 @@ pub fn sweep_cache_size(cfg: &ExperimentConfig) -> Table {
 
 /// [`sweep_cache_size`] with an explicit evaluation mode.
 pub fn sweep_cache_size_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
-    let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: L2 capacity (dynamic scheme improvements, probe set)",
-        &["l2 size", "vs shared", "vs equal"],
-    );
-    for kb in [64u64, 128, 256, 512, 1024] {
-        let mut c = cfg.clone();
-        c.system.l2 = CacheConfig::new(kb * 1024, 64, 64);
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![format!("{kb} KB"), pct(s), pct(e)]);
+    cache_size_axis(cfg).run(mode).0
+}
+
+fn cache_size_axis(cfg: &ExperimentConfig) -> Axis {
+    let base = axis_base(cfg);
+    let points = [64u64, 128, 256, 512, 1024]
+        .into_iter()
+        .map(|kb| {
+            let mut c = base.clone();
+            c.system.l2 = CacheConfig::new(kb * 1024, 64, 64);
+            AxisPoint::new(format!("{kb} KB"), c)
+        })
+        .collect();
+    Axis {
+        title: "Sweep: L2 capacity (dynamic scheme improvements, probe set)",
+        column: "l2 size",
+        points,
     }
-    t
 }
 
 /// Sweeps the core/thread count at fixed L2 capacity (the Figure 22 axis,
@@ -170,17 +255,19 @@ pub fn sweep_thread_count(cfg: &ExperimentConfig) -> Table {
 
 /// [`sweep_thread_count`] with an explicit evaluation mode.
 pub fn sweep_thread_count_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
-    let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: cores/threads sharing one L2 (dynamic scheme improvements)",
-        &["cores", "vs shared", "vs equal"],
-    );
-    for cores in [2usize, 4, 8, 16] {
-        let c = cfg.clone().with_cores(cores);
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![cores.to_string(), pct(s), pct(e)]);
+    thread_count_axis(cfg, &[2, 4, 8, 16]).run(mode).0
+}
+
+fn thread_count_axis(cfg: &ExperimentConfig, cores: &[usize]) -> Axis {
+    let base = axis_base(cfg);
+    Axis {
+        title: "Sweep: cores/threads sharing one L2 (dynamic scheme improvements)",
+        column: "cores",
+        points: cores
+            .iter()
+            .map(|&n| AxisPoint::new(n.to_string(), base.clone().with_cores(n)))
+            .collect(),
     }
-    t
 }
 
 /// Sweeps the execution interval length (the paper reports "little
@@ -194,21 +281,33 @@ pub fn sweep_interval(cfg: &ExperimentConfig) -> Table {
 /// The static baselines are *hoisted*: interval boundaries only snapshot
 /// counters, so shared / static-equal walls are bit-identical at every
 /// interval length (pinned by `static_scheme_walls_are_interval_invariant`)
-/// and run once at the base interval — with a result cache attached, the
-/// other axis points hit instead of re-simulating.
+/// and run once at the base interval. Every point requests them under the
+/// same result-cache key in one scheduler map; the single-flight cache
+/// simulates each once and serves the other points as hits.
 pub fn sweep_interval_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
-    let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: execution interval length (dynamic scheme improvements)",
-        &["interval (instructions)", "vs shared", "vs equal"],
-    );
-    for divisor in [8u64, 4, 2, 1] {
-        let mut c = cfg.clone();
-        c.system.interval_instructions = (cfg.system.interval_instructions / divisor).max(1_000);
-        let (s, e) = measure_with(&c, cfg, mode);
-        t.row(vec![c.system.interval_instructions.to_string(), pct(s), pct(e)]);
+    interval_axis(cfg).run(mode).0
+}
+
+fn interval_axis(cfg: &ExperimentConfig) -> Axis {
+    let base = axis_base(cfg);
+    let points = [8u64, 4, 2, 1]
+        .into_iter()
+        .map(|divisor| {
+            let mut c = base.clone();
+            c.system.interval_instructions =
+                (base.system.interval_instructions / divisor).max(1_000);
+            AxisPoint {
+                label: c.system.interval_instructions.to_string(),
+                config: c,
+                baseline: base.clone(),
+            }
+        })
+        .collect();
+    Axis {
+        title: "Sweep: execution interval length (dynamic scheme improvements)",
+        column: "interval (instructions)",
+        points,
     }
-    t
 }
 
 /// Sweeps the DRAM latency: the slower memory is, the more a miss costs
@@ -219,18 +318,24 @@ pub fn sweep_memory_latency(cfg: &ExperimentConfig) -> Table {
 
 /// [`sweep_memory_latency`] with an explicit evaluation mode.
 pub fn sweep_memory_latency_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
-    let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: DRAM latency (dynamic scheme improvements)",
-        &["latency (cycles)", "vs shared", "vs equal"],
-    );
-    for mem in [75u64, 150, 300] {
-        let mut c = cfg.clone();
-        c.system.latency.memory = mem;
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![mem.to_string(), pct(s), pct(e)]);
+    memory_latency_axis(cfg).run(mode).0
+}
+
+fn memory_latency_axis(cfg: &ExperimentConfig) -> Axis {
+    let base = axis_base(cfg);
+    let points = [75u64, 150, 300]
+        .into_iter()
+        .map(|mem| {
+            let mut c = base.clone();
+            c.system.latency.memory = mem;
+            AxisPoint::new(mem.to_string(), c)
+        })
+        .collect();
+    Axis {
+        title: "Sweep: DRAM latency (dynamic scheme improvements)",
+        column: "latency (cycles)",
+        points,
     }
-    t
 }
 
 #[cfg(test)]
@@ -296,10 +401,26 @@ mod tests {
         let mut cfg = ExperimentConfig::test();
         // Keep the test fast: only verify the mechanics at two points.
         cfg.system.interval_instructions *= 2;
-        for cores in [2usize, 8] {
-            let c = cfg.clone().with_cores(cores);
-            let (s, e) = measure_with(&c, &c, SweepMode::Exact);
-            assert!(s.is_finite() && e.is_finite(), "{cores} cores");
+        let (t, maps) = thread_count_axis(&cfg, &[2, 8]).run(SweepMode::Exact);
+        assert_eq!(maps.len(), 1, "one scheduler map for the whole axis");
+        assert_eq!(maps[0].jobs, 2 * 3 * 3, "points x probes x schemes");
+        for v in signed_cells(&t) {
+            assert!(v.is_finite(), "{}", t.render());
+        }
+    }
+
+    #[test]
+    fn each_exact_axis_runs_as_one_scheduler_map() {
+        let cfg = ExperimentConfig::test();
+        for axis in [
+            cache_size_axis(&cfg),
+            thread_count_axis(&cfg, &[2, 4, 8, 16]),
+            interval_axis(&cfg),
+            memory_latency_axis(&cfg),
+        ] {
+            let (_, maps) = axis.run(SweepMode::Exact);
+            let jobs: Vec<usize> = maps.iter().map(|m| m.jobs).collect();
+            assert_eq!(jobs, vec![axis.points.len() * 3 * 3], "{}", axis.title);
         }
     }
 
@@ -330,6 +451,24 @@ mod tests {
                     .collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// One (point, probe) pair measured in fast mode through the axis
+    /// planner.
+    fn measure_fast(
+        point: &ExperimentConfig,
+        baseline: &ExperimentConfig,
+        bench: &BenchmarkSpec,
+        margin: f64,
+    ) -> (f64, f64) {
+        let point = AxisPoint {
+            label: String::new(),
+            config: point.clone(),
+            baseline: baseline.clone(),
+        };
+        let (means, _) =
+            measure(&[point], std::slice::from_ref(bench), SweepMode::Fast { margin });
+        means[0]
     }
 
     #[test]

@@ -18,25 +18,15 @@
 //! latency sweep points cache hits. Simulations from cached replays are
 //! bit-identical to inline generation (`trace_cache_equivalence` tests).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use icp_cmp_sim::stream::AccessStream;
 use icp_cmp_sim::{PackedTrace, SystemConfig};
 use icp_hot_path::deterministic;
 use icp_workloads::{BenchmarkSpec, WorkloadScale};
 
-/// One cache slot: claimed the moment a generator commits to producing a
-/// key, filled when its traces are ready. Waiters on a `Pending` slot
-/// park on the cache condvar instead of generating a duplicate.
-#[derive(Debug)]
-enum Slot {
-    /// Some thread is generating this key right now.
-    Pending,
-    /// Materialised traces, shareable by reference.
-    Ready(Vec<Arc<PackedTrace>>),
-}
+use crate::single_flight::SingleFlight;
 
 /// A thread-safe generate-once store of packed workload traces.
 ///
@@ -45,8 +35,7 @@ enum Slot {
 /// property rather than a hope.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<BTreeMap<String, Slot>>,
-    ready: Condvar,
+    traces: SingleFlight<Vec<Arc<PackedTrace>>>,
     generations: AtomicU64,
     hits: AtomicU64,
 }
@@ -70,7 +59,12 @@ impl TraceCache {
     /// keying the topology keeps cached traces unambiguous about the
     /// machine they were recorded for, at the cost of one extra generation
     /// per topology (sliced scenarios are rare next to figure sweeps).
-    fn key(spec: &BenchmarkSpec, cfg: &SystemConfig, scale: WorkloadScale, seed: u64) -> String {
+    pub(crate) fn key(
+        spec: &BenchmarkSpec,
+        cfg: &SystemConfig,
+        scale: WorkloadScale,
+        seed: u64,
+    ) -> String {
         format!(
             "{spec:?}|l2={}x{}|slices={}|scale={scale:?}|seed={seed:#x}",
             cfg.l2.size_bytes, cfg.l2.line_bytes, cfg.llc.slices
@@ -80,14 +74,13 @@ impl TraceCache {
     /// Returns the packed traces for a workload, generating them on first
     /// use.
     ///
-    /// Generation happens *outside* the cache lock: the first requester
-    /// claims the key with a [`Slot::Pending`] marker, releases the lock,
-    /// generates, and publishes [`Slot::Ready`] — so first-time
-    /// generations of distinct workloads overlap across threads instead
-    /// of serialising on the cache. Concurrent requests for the *same*
-    /// workload park on a condvar until the claimant publishes (the
-    /// exactly-once guarantee the counters assert). Within a key the
-    /// per-thread streams are materialised by budget-leased producers
+    /// The entry map is single-flight (`SingleFlight`): the first
+    /// requester claims the key and generates *outside* the cache lock, so
+    /// first-time generations of distinct workloads overlap across threads
+    /// instead of serialising on the cache, and concurrent requests for the
+    /// *same* workload wait for the claimant (the exactly-once guarantee
+    /// the counters assert). Within a key the per-thread streams are
+    /// materialised by budget-leased producers
     /// ([`BenchmarkSpec::pack_streams_parallel`]), each writing straight
     /// into packed columns; the result is bit-identical to sequential
     /// recording.
@@ -100,49 +93,11 @@ impl TraceCache {
         seed: u64,
     ) -> Vec<Arc<PackedTrace>> {
         let key = TraceCache::key(spec, cfg, scale, seed);
-        {
-            let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match map.get(&key) {
-                    Some(Slot::Ready(traces)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return traces.clone();
-                    }
-                    Some(Slot::Pending) => {
-                        map = self.ready.wait(map).unwrap_or_else(|e| e.into_inner());
-                    }
-                    None => {
-                        // Claim the key; generation happens below, unlocked.
-                        map.insert(key.clone(), Slot::Pending);
-                        break;
-                    }
-                }
-            }
-        }
-        // Claim guard: if generation panics, clear the Pending marker and
-        // wake waiters so they can reclaim instead of parking forever.
-        struct Unclaim<'a> {
-            cache: &'a TraceCache,
-            key: &'a str,
-            armed: bool,
-        }
-        impl Drop for Unclaim<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    let mut map =
-                        self.cache.entries.lock().unwrap_or_else(|e| e.into_inner());
-                    map.remove(self.key);
-                    self.cache.ready.notify_all();
-                }
-            }
-        }
-        let mut guard = Unclaim { cache: self, key: &key, armed: true };
-        let traces = spec.pack_streams_parallel(cfg, scale, seed, usize::MAX);
-        guard.armed = false;
-        self.generations.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key.clone(), Slot::Ready(traces.clone()));
-        self.ready.notify_all();
+        let (traces, hit) = self
+            .traces
+            .get_or_compute(key, |_| spec.pack_streams_parallel(cfg, scale, seed, usize::MAX));
+        let counter = if hit { &self.hits } else { &self.generations };
+        counter.fetch_add(1, Ordering::Relaxed);
         traces
     }
 
@@ -174,12 +129,7 @@ impl TraceCache {
     /// Number of cached workloads (materialised entries; in-flight
     /// claims don't count until published).
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        self.traces.len()
     }
 
     /// True when nothing has been cached yet.
@@ -189,16 +139,8 @@ impl TraceCache {
 
     /// Total heap bytes held by the cached packed columns.
     pub fn packed_bytes(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .flat_map(|s| match s {
-                Slot::Ready(ts) => ts.as_slice(),
-                Slot::Pending => &[],
-            })
-            .map(|t| t.packed_bytes())
-            .sum()
+        self.traces
+            .fold(0, |sum, ts| sum + ts.iter().map(|t| t.packed_bytes()).sum::<usize>())
     }
 }
 

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use icp::experiments::{ExperimentConfig, Scheme, TraceCache};
+use icp::experiments::sweeps::{self, SweepMode};
+use icp::experiments::table::Table;
+use icp::experiments::{ExperimentConfig, ResultCache, Scheme, TraceCache};
 use icp::sim::budget::{self, CoreBudget};
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
@@ -303,4 +305,58 @@ fn parallel_and_serial_sweeps_agree() {
         let s = cfg.run(&bench, scheme);
         assert_eq!(p.wall_cycles, s.wall_cycles, "{scheme:?}");
     }
+}
+
+/// Cells of a 4-point exact sweep axis: points x 3 probes x 3 schemes.
+const AXIS_CELLS: usize = 4 * 3 * 3;
+
+/// Runs one 4-point exact sweep axis at test scale under budgets {1, 2,
+/// host, one worker per cell} (each distinct value once) and returns the
+/// result cache's (simulations, hits), after checking that the rendered
+/// table and the counts are identical at every budget. A sweep plan runs
+/// all of an axis's cells in one scheduler map, so the budget changes
+/// which worker runs which cell, and when. It must change neither the
+/// table nor the counts: concurrent requests for one result-cache key
+/// wait for a single simulation instead of duplicating it. The widest
+/// budget starts every cell at once, so each repeated key is requested
+/// while its first simulation is still in flight.
+fn budget_invariant_sweep(axis: fn(&ExperimentConfig, SweepMode) -> Table) -> (u64, u64) {
+    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut budgets = vec![1usize, 2, host, AXIS_CELLS];
+    budgets.sort_unstable();
+    budgets.dedup();
+    let mut expected: Option<(String, (u64, u64))> = None;
+    for total in budgets {
+        let cache = ResultCache::shared();
+        let cfg = ExperimentConfig::test().with_result_cache(Arc::clone(&cache));
+        let table = budget::scoped(CoreBudget::new(total), || axis(&cfg, SweepMode::Exact));
+        let counts = (cache.simulations(), cache.hits());
+        match &expected {
+            None => expected = Some((table.render(), counts)),
+            Some((t, c)) => {
+                assert_eq!(&table.render(), t, "budget={total}: table diverged");
+                assert_eq!(&counts, c, "budget={total}: (simulations, hits) diverged");
+            }
+        }
+    }
+    expected.map(|(_, counts)| counts).expect("at least one budget ran")
+}
+
+#[test]
+fn interval_sweep_is_budget_invariant() {
+    assert_eq!(
+        budget_invariant_sweep(sweeps::sweep_interval_with),
+        (18, 18),
+        "3 probes x (2 hoisted baselines + 4 dynamic points) simulated, \
+         3 probes x 3 repeated points x 2 baselines served as hits"
+    );
+}
+
+#[test]
+fn thread_count_sweep_is_budget_invariant() {
+    assert_eq!(
+        budget_invariant_sweep(sweeps::sweep_thread_count_with),
+        (36, 0),
+        "4 points x 3 probes x 3 schemes, all distinct"
+    );
 }
