@@ -17,7 +17,7 @@
 //!   type, a module file stem, an `icp_*` crate alias, or
 //!   `self`/`Self`/`crate`/`super`. Unknown qualifiers — `std`, `thread`,
 //!   `mem`, ... — produce **no edge**, so `std::thread::spawn` can never be
-//!   confused with `PipelinedStream::spawn`.
+//!   confused with a workspace `spawn` method.
 //! * **Method calls** (`.fill_batch(...)`) resolve to every workspace
 //!   function of that name that takes `self`, across crates — receiver types
 //!   are unknown, so this over-approximates; obligations may reach more

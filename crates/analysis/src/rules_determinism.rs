@@ -16,15 +16,15 @@
 //! * **D2 `det_ambient`** — no ambient nondeterminism in the closure:
 //!   `Instant::`/`SystemTime` clocks, `thread::current` identity,
 //!   `available_parallelism` host sizing. Timing/host-sizing functions
-//!   (`perf.rs` wall-clock, `ShardedSimulator::auto`,
-//!   `PipelinedStream::spawn`'s inline fallback) carry reviewed waivers.
+//!   (`perf.rs` wall-clock, the core budget's host-parallelism fallback)
+//!   carry reviewed waivers.
 //! * **D3 `det_float_order`** — no float reduction (`.sum()`, `.product()`,
 //!   `.fold()`, `.reduce()` with `f32`/`f64` in the same statement) in the
 //!   closure unless an `// ORDER:` comment states why the iteration order
-//!   is fixed. Float addition is non-associative; a shard-merge that folds
-//!   in shard order is fine, one that folds over an unordered source is not.
+//!   is fixed. Float addition is non-associative; a slice merge that folds
+//!   in slice order is fine, one that folds over an unordered source is not.
 //! * **D4 `det_sync`** — synchronisation discipline in the listed
-//!   concurrency modules (`shard.rs`, `pipeline.rs`): no `Mutex`/`RwLock`/
+//!   concurrency modules (`slice.rs`, `sched.rs`): no `Mutex`/`RwLock`/
 //!   `Condvar`, no `Atomic*`/`Relaxed` counters, no detached
 //!   `thread::spawn` (scoped `scope.spawn` + channels are the sanctioned
 //!   idiom: results cross an ordered channel or a join, never a data race).

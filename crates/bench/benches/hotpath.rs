@@ -1,6 +1,6 @@
 //! Hot-path throughput bench: `cargo bench -p icp-bench --bench hotpath`.
 //!
-//! Self-contained harness (no external bench framework): runs the sixteen
+//! Self-contained harness (no external bench framework): runs the thirteen
 //! tracked scenarios from `icp_experiments::hotpath` several times and
 //! reports best/median accesses-per-second. The canonical tracked numbers
 //! come from `cargo run --release --bin bench_hotpath`, which writes
@@ -8,9 +8,9 @@
 //! interactive front-end over the same scenario code.
 
 use icp_experiments::hotpath::{
-    gen_only, gen_packed, interleaved_4t, l2_miss_prefetch, pipeline_4t, pipeline_packed,
-    sharded_4t, sharded_packed_4t, single_access, sliced_16t, sliced_16t_serial, sliced_64t,
-    suite_figures, suite_figures_warm, sweep_axis, sweep_axis_warm, HotpathResult,
+    gen_only, gen_packed, interleaved_4t, l2_miss_prefetch, pipeline_packed, single_access,
+    sliced_16t, sliced_16t_serial, sliced_64t, suite_figures, suite_figures_warm, sweep_axis,
+    sweep_axis_warm, HotpathResult,
 };
 
 const EVENTS_PER_THREAD: usize = 500_000;
@@ -34,10 +34,7 @@ fn main() {
     bench("interleaved_4t", interleaved_4t);
     bench("gen_only", gen_only);
     bench("gen_packed", gen_packed);
-    bench("pipeline_4t", pipeline_4t);
     bench("pipeline_packed", pipeline_packed);
-    bench("sharded_4t", sharded_4t);
-    bench("sharded_packed_4t", sharded_packed_4t);
     bench("sliced_16t", sliced_16t);
     bench("sliced_16t_serial", sliced_16t_serial);
     bench("sliced_64t", sliced_64t);

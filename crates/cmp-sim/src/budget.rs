@@ -2,12 +2,11 @@
 //!
 //! Every layer of this workspace can spend threads: the experiment
 //! harness fans (benchmark × scheme) jobs over an outer worker pool, each
-//! simulation can run its LLC slices / set shards on scoped workers
-//! ([`crate::shard`], [`crate::slice`]), each workload thread can generate
-//! on a pipelined producer ([`crate::pipeline`]), and trace
-//! materialisation packs one stream per workload thread. Sized
-//! independently from [`std::thread::available_parallelism`], those layers
-//! multiply: M outer jobs × N inner workers oversubscribes the host, while
+//! sliced-LLC simulation can run its slices on scoped workers
+//! ([`crate::slice`]), and trace materialisation packs one stream per
+//! workload thread. Sized independently from
+//! [`std::thread::available_parallelism`], those layers multiply: M outer
+//! jobs × N inner workers oversubscribes the host, while
 //! an inner engine that sees a "busy" machine serialises even when the
 //! host is idle. This module provides the single source of truth they
 //! arbitrate through instead.
@@ -17,16 +16,16 @@
 //! token, so an engine that wants `k` workers leases `k - 1` *extra*
 //! tokens and runs with `1 + granted` — degrading all the way to its
 //! bit-identical inline path when the pool is dry. Leases are RAII
-//! guards: the shard and slice engines lease per interval and return at
-//! the merge barrier, pipeline producers hold one token for their
-//! lifetime and return it at the join boundary, so parallelism freed by a
-//! draining outer pool is immediately available to widen the tail.
+//! guards: the sliced LLC leases per interval and returns at the merge
+//! barrier, trace materialisation returns its producers' tokens at the
+//! join, so parallelism freed by a draining outer pool is immediately
+//! available to widen the tail.
 //!
 //! Budget arbitration never changes results — only where and when work
 //! executes. Every engine's leased path is pinned bit-identical to its
-//! serial reference (`tests/shard_equivalence.rs`,
-//! `tests/slice_equivalence.rs`, `tests/stream_equivalence.rs`), and
-//! `tests/determinism.rs` pins whole-run digests across budgets.
+//! serial reference (`tests/slice_equivalence.rs`,
+//! `tests/stream_equivalence.rs`), and `tests/determinism.rs` pins
+//! whole-run digests across budgets.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -120,8 +119,8 @@ impl CoreBudget {
 }
 
 /// RAII grant of extra core tokens; tokens return to the pool on drop.
-/// Send, so an engine can hand a token to the worker thread it covers
-/// (pipeline producers do) and return it exactly when that worker exits.
+/// Send, so an engine can hand a token to the worker thread it covers and
+/// return it exactly when that worker exits.
 #[derive(Debug)]
 pub struct Lease {
     budget: Arc<CoreBudget>,

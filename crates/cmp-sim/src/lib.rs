@@ -34,31 +34,25 @@ pub mod config;
 pub mod l2;
 pub mod packed;
 pub mod perf;
-pub mod pipeline;
 pub mod plru;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
-pub mod shard;
 pub mod simulator;
 pub mod slice;
 pub mod stats;
 pub mod stream;
-pub mod trace;
 pub mod umon;
 pub mod victim;
 
 pub use budget::{CoreBudget, Lease};
 pub use config::{CacheConfig, L2Geometry, LatencyConfig, LlcConfig, SystemConfig};
 pub use l2::{EnforcementKind, PartitionMode, PartitionedL2, ReplacementKind};
-pub use packed::{PackedBlock, PackedReplayStream, PackedTrace};
+pub use packed::{PackedBlock, PackedReplayStream, PackedTrace, TraceError};
 pub use perf::{Machine, Measurable, PerfReport};
-pub use pipeline::{PipelinedStream, TakeStream};
-pub use shard::ShardedSimulator;
 pub use simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 pub use slice::{Llc, SliceTopology};
 pub use stats::{GlobalStats, InteractionStats, ThreadCounters};
 pub use stream::{AccessStream, ThreadEvent};
-pub use trace::Trace;
 pub use umon::{UmonProfile, UtilityMonitor};
 pub use victim::VictimCache;
 

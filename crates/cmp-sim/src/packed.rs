@@ -1,11 +1,12 @@
-//! Packed struct-of-arrays trace storage and zero-copy shared replay.
+//! Packed struct-of-arrays trace storage, zero-copy shared replay, and the
+//! on-disk trace format.
 //!
-//! [`Trace`] keeps a `Vec<ThreadEvent>` — 24 bytes per event of which a
-//! replay touches every byte. A [`PackedTrace`] stores the same sequence
-//! column-wise (`gaps`/`addrs`/`mlps` arrays, a write bitmap, and barrier
-//! positions), cutting the replay's memory traffic to ~14 bytes per event,
-//! and is immutable after construction so any number of replay streams can
-//! share one materialisation behind an [`Arc`] — the record-once,
+//! A `Vec<ThreadEvent>` spends 24 bytes per event, and a replay touches
+//! every byte. A [`PackedTrace`] stores the same sequence column-wise
+//! (`gaps`/`addrs`/`mlps` arrays, a write bitmap, and barrier positions),
+//! cutting the replay's memory traffic to ~14 bytes per event, and is
+//! immutable after construction so any number of replay streams can share
+//! one materialisation behind an [`Arc`] — the record-once,
 //! simulate-many-schemes pattern the experiment sweeps use (each suite
 //! workload is generated exactly once per sweep and replayed zero-copy for
 //! every partitioning scheme).
@@ -13,17 +14,106 @@
 //! [`PackedBlock`] is the *mutable, bounded* counterpart: the same columns
 //! as a chunk. It is the unit of columnar event transport everywhere events
 //! move between stages — generators write columns straight into a block
-//! ([`AccessStream::fill_packed`]), the pipeline hands whole blocks across
-//! its channel by ownership, the simulator's per-core ring drains blocks in
-//! place, and [`PackedTrace::record`] assembles blocks into a trace with
-//! column memcpys. No stage materialises per-event `ThreadEvent`s.
+//! ([`AccessStream::fill_packed`]), the simulator's per-core ring drains
+//! blocks in place, and [`PackedTrace::record`] assembles blocks into a
+//! trace with column memcpys. No stage materialises per-event
+//! `ThreadEvent`s.
+//!
+//! ## Binary format
+//!
+//! [`PackedTrace::to_bytes`] / [`PackedTrace::from_bytes`] read and write
+//! one little-endian, versioned event list, so recordings can be stored
+//! and exchanged with external trace producers:
+//!
+//! ```text
+//! magic  u32  = 0x49435054 ("ICPT")
+//! version u32 = 1
+//! count  u64  = number of events
+//! event* :
+//!   tag   u8   (0 = access, 1 = barrier, 2 = finished)
+//!   access payload (tag 0 only):
+//!     gap        u32
+//!     addr       u64
+//!     flags      u8   (bit 0 = write)
+//!     mlp_tenths u16
+//! ```
+//!
+//! The writer never emits tag 2 (the trailing `Finished` is implicit); the
+//! reader accepts it and ends the trace there.
 
 use std::sync::Arc;
 
 use icp_hot_path::{deterministic, hot_path};
 
 use crate::stream::{AccessStream, ThreadEvent};
-use crate::trace::Trace;
+
+/// `"ICPT"`: the first four bytes of an encoded trace.
+const MAGIC: u32 = 0x4943_5054;
+/// The only format version.
+const VERSION: u32 = 1;
+/// Event tags of the binary format.
+const TAG_ACCESS: u8 = 0;
+const TAG_BARRIER: u8 = 1;
+const TAG_FINISHED: u8 = 2;
+
+/// Errors from trace decoding ([`PackedTrace::from_bytes`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceError {
+    /// Wrong magic number — not a trace file.
+    BadMagic,
+    /// Unsupported format version.
+    BadVersion(u32),
+    /// Input ended mid-event, or before the declared event count.
+    Truncated,
+    /// Unknown event tag byte.
+    BadTag(u8),
+    /// Bytes left over after the declared event count.
+    TrailingBytes(usize),
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::BadMagic => write!(f, "not an ICP trace (bad magic)"),
+            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
+            TraceError::Truncated => write!(f, "trace truncated"),
+            TraceError::BadTag(t) => write!(f, "unknown event tag {t}"),
+            TraceError::TrailingBytes(n) => write!(f, "{n} bytes after the last event"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// Little-endian cursor over untrusted input: every read is bounds-checked
+/// and reports [`TraceError::Truncated`] instead of panicking.
+struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        let (head, rest) = self.bytes.split_first_chunk::<N>().ok_or(TraceError::Truncated)?;
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, TraceError> {
+        Ok(u8::from_le_bytes(self.take()?))
+    }
+
+    fn u16(&mut self) -> Result<u16, TraceError> {
+        Ok(u16::from_le_bytes(self.take()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, TraceError> {
+        Ok(u32::from_le_bytes(self.take()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, TraceError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+}
 
 /// Copies `len` bits from `src` starting at bit `src_start` into `dst`
 /// starting at bit `dst_start`, growing `dst` to hold them.
@@ -272,7 +362,7 @@ impl PackedBlock {
 /// Accesses live in parallel columns indexed by *access number*; barriers
 /// are stored out of line as the access number they precede (non-decreasing,
 /// with duplicates encoding consecutive barriers). The trailing `Finished`
-/// is implicit, as in [`Trace`].
+/// is implicit.
 ///
 /// # Examples
 ///
@@ -328,20 +418,16 @@ impl PackedTrace {
         p
     }
 
-    /// Packs a recorded [`Trace`].
-    pub fn from_trace(trace: &Trace) -> Self {
-        PackedTrace::from_events(trace.events())
-    }
-
     /// Drains `stream` until it finishes (or `max_events` events — accesses
     /// plus barriers — have been recorded) and packs everything, pulling
     /// whole column blocks through [`AccessStream::fill_packed`] so
     /// columnar generators never materialise per-event enums and block
     /// assembly is a handful of column memcpys.
     ///
-    /// The recorded prefix is exactly what [`Trace::record`] would store;
-    /// `fill_packed`'s exact cap means no surplus events are generated when
-    /// the limit truncates mid-stream.
+    /// The recorded prefix is the stream's first `max_events` events, with
+    /// the trailing `Finished` left implicit; `fill_packed`'s exact cap
+    /// means no surplus events are generated when the limit truncates
+    /// mid-stream.
     #[deterministic]
     pub fn record<S: AccessStream>(stream: &mut S, max_events: usize) -> Self {
         const RECORD_BATCH: usize = 4096;
@@ -480,9 +566,86 @@ impl PackedTrace {
         out
     }
 
-    /// Unpacks into a [`Trace`].
-    pub fn to_trace(&self) -> Trace {
-        Trace::from_events(self.to_events())
+    /// Encodes the trace in the versioned binary format (see the
+    /// [module docs](self)).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use icp_cmp_sim::{PackedTrace, ThreadEvent};
+    ///
+    /// let trace = PackedTrace::from_events(&[ThreadEvent::access(3, 0x40), ThreadEvent::Barrier]);
+    /// let bytes = trace.to_bytes();
+    /// assert_eq!(PackedTrace::from_bytes(&bytes), Ok(trace));
+    /// ```
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + self.gaps.len() * 16 + self.barriers.len());
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        let mut nb = 0;
+        for i in 0..=self.gaps.len() {
+            // Barriers due before access `i` (or at the end of the trace).
+            while self.barriers.get(nb) == Some(&(i as u64)) {
+                out.push(TAG_BARRIER);
+                nb += 1;
+            }
+            if i < self.gaps.len() {
+                out.push(TAG_ACCESS);
+                out.extend_from_slice(&self.gaps[i].to_le_bytes());
+                out.extend_from_slice(&self.addrs[i].to_le_bytes());
+                out.push(u8::from((self.writes[i >> 6] >> (i & 63)) & 1 != 0));
+                out.extend_from_slice(&self.mlps[i].to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// Decodes the binary format. Malformed input of any kind — wrong
+    /// magic or version, an unknown tag, input shorter or longer than the
+    /// declared event count — is an error, never a panic. Events after a
+    /// `Finished` tag are validated but not stored.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
+        let mut r = Reader { bytes };
+        if r.u32()? != MAGIC {
+            return Err(TraceError::BadMagic);
+        }
+        let version = r.u32()?;
+        if version != VERSION {
+            return Err(TraceError::BadVersion(version));
+        }
+        let count = r.u64()?;
+        // Every event takes at least its tag byte, so a count beyond the
+        // remaining input is a truncation, caught before any allocation.
+        if count > r.bytes.len() as u64 {
+            return Err(TraceError::Truncated);
+        }
+        let mut trace = PackedTrace::new();
+        let mut finished = false;
+        for _ in 0..count {
+            match r.u8()? {
+                TAG_ACCESS => {
+                    let gap = r.u32()?;
+                    let addr = r.u64()?;
+                    let write = r.u8()? & 1 == 1;
+                    let mlp_tenths = r.u16()?;
+                    if !finished {
+                        trace.push_access(gap, addr, write, mlp_tenths);
+                    }
+                }
+                TAG_BARRIER => {
+                    if !finished {
+                        trace.push_barrier();
+                    }
+                }
+                TAG_FINISHED => finished = true,
+                tag => return Err(TraceError::BadTag(tag)),
+            }
+        }
+        if !r.bytes.is_empty() {
+            return Err(TraceError::TrailingBytes(r.bytes.len()));
+        }
+        Ok(trace)
     }
 
     /// A zero-copy replay stream over a shared packed trace.
@@ -672,14 +835,12 @@ mod tests {
     }
 
     #[test]
-    fn record_matches_trace_record() {
+    fn record_stores_the_bounded_prefix() {
         let events = sample_events();
         for max in [0usize, 1, 2, 3, 4, 6, 100] {
-            let mut s1 = ReplayStream::new(events.clone());
-            let mut s2 = ReplayStream::new(events.clone());
-            let t = Trace::record(&mut s1, max);
-            let p = PackedTrace::record(&mut s2, max);
-            assert_eq!(p.to_events(), t.events(), "max_events {max}");
+            let mut s = ReplayStream::new(events.clone());
+            let p = PackedTrace::record(&mut s, max);
+            assert_eq!(p.to_events(), events[..max.min(events.len())], "max_events {max}");
         }
     }
 
@@ -741,12 +902,80 @@ mod tests {
         assert_eq!(p.to_events(), events);
     }
 
+    /// The encoding the format's previous event-list writer produced for
+    /// [`sample_events`], byte for byte: traces written before the packed
+    /// writer existed must still load.
+    fn sample_bytes() -> Vec<u8> {
+        let mut b = MAGIC.to_le_bytes().to_vec();
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&6u64.to_le_bytes());
+        for e in sample_events() {
+            match e {
+                ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
+                    b.push(0);
+                    b.extend_from_slice(&gap.to_le_bytes());
+                    b.extend_from_slice(&addr.to_le_bytes());
+                    b.push(u8::from(write));
+                    b.extend_from_slice(&mlp_tenths.to_le_bytes());
+                }
+                ThreadEvent::Barrier => b.push(1),
+                ThreadEvent::Finished => b.push(2),
+            }
+        }
+        b
+    }
+
     #[test]
-    fn trace_interop_roundtrips() {
-        let t = Trace::from_events(sample_events());
-        let p = PackedTrace::from_trace(&t);
-        assert_eq!(p.to_trace(), t);
+    fn bytes_roundtrip_and_match_the_event_list_encoding() {
+        let p = PackedTrace::from_events(&sample_events());
         assert!(p.packed_bytes() > 0);
+        assert_eq!(p.to_bytes(), sample_bytes());
+        assert_eq!(PackedTrace::from_bytes(&sample_bytes()), Ok(p));
+        let empty = PackedTrace::new();
+        assert_eq!(PackedTrace::from_bytes(&empty.to_bytes()), Ok(empty));
+    }
+
+    #[test]
+    fn finished_tag_ends_the_trace() {
+        let mut b = MAGIC.to_le_bytes().to_vec();
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&3u64.to_le_bytes());
+        b.extend_from_slice(&[1, 2, 1]);
+        let p = PackedTrace::from_bytes(&b).unwrap();
+        assert_eq!(p.to_events(), vec![ThreadEvent::Barrier]);
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert_eq!(PackedTrace::from_bytes(b"nope"), Err(TraceError::BadMagic));
+        assert_eq!(PackedTrace::from_bytes(b"no"), Err(TraceError::Truncated));
+        assert_eq!(
+            PackedTrace::from_bytes(&0u32.to_le_bytes().repeat(4)),
+            Err(TraceError::BadMagic)
+        );
+        // Valid magic, bad version.
+        let mut b = MAGIC.to_le_bytes().to_vec();
+        b.extend_from_slice(&99u32.to_le_bytes());
+        b.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(PackedTrace::from_bytes(&b), Err(TraceError::BadVersion(99)));
+        // Truncated payload.
+        let bytes = sample_bytes();
+        assert_eq!(PackedTrace::from_bytes(&bytes[..bytes.len() - 1]), Err(TraceError::Truncated));
+        // A count far beyond the input fails before allocating.
+        let mut b = MAGIC.to_le_bytes().to_vec();
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(PackedTrace::from_bytes(&b), Err(TraceError::Truncated));
+        // Bad tag.
+        let mut b = MAGIC.to_le_bytes().to_vec();
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&1u64.to_le_bytes());
+        b.push(7);
+        assert_eq!(PackedTrace::from_bytes(&b), Err(TraceError::BadTag(7)));
+        // Bytes after the declared events.
+        let mut b = sample_bytes();
+        b.extend_from_slice(&[1, 1]);
+        assert_eq!(PackedTrace::from_bytes(&b), Err(TraceError::TrailingBytes(2)));
     }
 
     #[test]

@@ -15,9 +15,7 @@ use std::time::Instant;
 
 use crate::config::SystemConfig;
 use crate::l2::{EnforcementKind, ReplacementKind};
-use crate::shard::ShardedSimulator;
 use crate::simulator::{IntervalReport, Simulator};
-use crate::slice::Llc;
 use crate::stats::GlobalStats;
 use crate::stream::AccessStream;
 use crate::umon::UtilityMonitor;
@@ -58,9 +56,9 @@ impl PerfReport {
 
 /// A simulation engine the perf harness can time: anything that advances
 /// interval by interval and exposes cumulative counters. Implemented by
-/// [`Simulator`] (any stream type) and
-/// [`crate::shard::ShardedSimulator`], so the hot-path scenarios and the
-/// tracked bench treat serial and sharded engines uniformly.
+/// [`Simulator`] (any stream type) and the sliced [`crate::slice::Llc`],
+/// so the hot-path scenarios and the tracked bench treat both machines
+/// uniformly.
 pub trait Measurable {
     /// Cumulative statistics (see [`Simulator::stats`]).
     fn stats(&self) -> &GlobalStats;
@@ -94,8 +92,8 @@ impl<S: AccessStream> Measurable for Simulator<S> {
 /// A complete partitionable CMP machine the `icp-core` runtime can drive:
 /// a [`Measurable`] engine that additionally exposes partition control,
 /// replacement/enforcement selection and utility monitoring. Implemented
-/// by the serial [`Simulator`], the set-sharded [`ShardedSimulator`] and
-/// the sliced-LLC [`Llc`], so one runtime loop drives every machine model.
+/// by the serial [`Simulator`] and the sliced-LLC [`crate::slice::Llc`],
+/// so one runtime loop drives every machine model.
 ///
 /// The UMON surface is read-by-value ([`Machine::umon_view`]) because
 /// multi-slice machines materialise a merged monitor on demand; the serial
@@ -168,90 +166,6 @@ impl<S: AccessStream> Machine for Simulator<S> {
         if let Some(u) = self.umon_mut() {
             u.decay_counters();
         }
-    }
-}
-
-impl Machine for ShardedSimulator {
-    fn config(&self) -> &SystemConfig {
-        ShardedSimulator::config(self)
-    }
-
-    fn set_partition(&mut self, targets: &[u32]) {
-        ShardedSimulator::set_partition(self, targets);
-    }
-
-    fn set_set_partition(&mut self, quotas: &[u32]) {
-        ShardedSimulator::set_set_partition(self, quotas);
-    }
-
-    fn set_unpartitioned(&mut self) {
-        ShardedSimulator::set_unpartitioned(self);
-    }
-
-    fn set_replacement(&mut self, kind: ReplacementKind) {
-        ShardedSimulator::set_replacement(self, kind);
-    }
-
-    fn set_enforcement(&mut self, kind: EnforcementKind) {
-        ShardedSimulator::set_enforcement(self, kind);
-    }
-
-    fn enable_umon(&mut self, sample_every: u64) {
-        ShardedSimulator::enable_umon(self, sample_every);
-    }
-
-    fn umon_enabled(&self) -> bool {
-        self.merged_umon().is_some()
-    }
-
-    fn umon_view(&self) -> Option<Cow<'_, UtilityMonitor>> {
-        self.merged_umon().map(Cow::Owned)
-    }
-
-    fn decay_umon(&mut self) {
-        ShardedSimulator::decay_umon(self);
-    }
-}
-
-impl Machine for Llc {
-    fn config(&self) -> &SystemConfig {
-        Llc::config(self)
-    }
-
-    fn set_partition(&mut self, targets: &[u32]) {
-        Llc::set_partition(self, targets);
-    }
-
-    fn set_set_partition(&mut self, quotas: &[u32]) {
-        Llc::set_set_partition(self, quotas);
-    }
-
-    fn set_unpartitioned(&mut self) {
-        Llc::set_unpartitioned(self);
-    }
-
-    fn set_replacement(&mut self, kind: ReplacementKind) {
-        Llc::set_replacement(self, kind);
-    }
-
-    fn set_enforcement(&mut self, kind: EnforcementKind) {
-        Llc::set_enforcement(self, kind);
-    }
-
-    fn enable_umon(&mut self, sample_every: u64) {
-        Llc::enable_umon(self, sample_every);
-    }
-
-    fn umon_enabled(&self) -> bool {
-        self.merged_umon().is_some()
-    }
-
-    fn umon_view(&self) -> Option<Cow<'_, UtilityMonitor>> {
-        self.merged_umon().map(Cow::Owned)
-    }
-
-    fn decay_umon(&mut self) {
-        Llc::decay_umon(self);
     }
 }
 

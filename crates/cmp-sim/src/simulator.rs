@@ -89,11 +89,10 @@ struct CoreState {
     status: CoreStatus,
 }
 
-/// Events requested per stream refill (advisory — see
-/// [`AccessStream::next_block`]; block-native streams such as the pipelined
-/// producer may deliver more). Big enough to amortise the virtual call and
-/// let generators batch their work; small enough that a ring stays
-/// cache-resident (256 events x ~14 B of columns ≈ 3.6 KB).
+/// Events requested per stream refill (see [`AccessStream::fill_packed`]).
+/// Big enough to amortise the virtual call and let generators batch their
+/// work; small enough that a ring stays cache-resident (256 events x ~14 B
+/// of columns ≈ 3.6 KB).
 const EVENT_BATCH: usize = 256;
 
 /// Entries in the per-`mlp_tenths` miss-latency table. Valid workload specs
@@ -105,9 +104,8 @@ const MISS_LUT_SIZE: usize = 256;
 /// Streams are generation-only (nothing the simulator does feeds back into
 /// them), so pulling events ahead of consumption cannot change any
 /// simulated outcome — the `batch_equivalence` integration suite pins this
-/// down. Refills go through [`AccessStream::next_block`], so a pipelined
-/// producer's blocks land here by ownership swap — no event copies between
-/// generator and simulator.
+/// down. Refills go through [`AccessStream::fill_packed`], so columnar
+/// generators and packed replays write straight into the ring's columns.
 #[derive(Clone, Debug)]
 struct EventRing {
     /// The block being drained (columns read in place).
@@ -156,8 +154,7 @@ impl EventRing {
 /// The stream type defaults to boxed trait objects (heterogeneous streams,
 /// the common case); instantiating with a concrete `Send` stream type such
 /// as [`crate::packed::PackedReplayStream`] yields a `Send` simulator that
-/// worker threads can own — the foundation of
-/// [`crate::shard::ShardedSimulator`].
+/// worker threads can own — the slices of [`crate::slice::Llc`].
 pub struct Simulator<S = Box<dyn AccessStream>> {
     cfg: SystemConfig,
     /// Shift/mask address math for the L2 geometry (shared line size with
@@ -318,8 +315,9 @@ impl<S: AccessStream> Simulator<S> {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
     }
 
-    /// Core `t`'s local clock (cycles it has simulated so far). The shard
-    /// merge sums these across slices to reconstitute a per-core clock.
+    /// Core `t`'s local clock (cycles it has simulated so far). The sliced
+    /// LLC's merge sums these across slices to reconstitute a per-core
+    /// clock.
     ///
     /// # Panics
     /// Panics if `t` is not a valid core index.
@@ -435,11 +433,10 @@ impl<S: AccessStream> Simulator<S> {
             self.sanitize_batch_check();
         }
         // Refill this core's ring when drained; `rings` and `streams` are
-        // disjoint fields, so the stream swaps its block straight into the
-        // ring.
+        // disjoint fields, so the stream fills the ring's block in place.
         let ring = &mut self.rings[t];
         if ring.drained() && !ring.block.finished() {
-            self.streams[t].next_block(&mut ring.block, EVENT_BATCH);
+            self.streams[t].fill_packed(&mut ring.block, EVENT_BATCH);
             ring.pos = 0;
             ring.nb = 0;
             if ring.block.is_empty() && !ring.block.finished() {

@@ -9,8 +9,8 @@
 //! ([`crate::config::LlcConfig::slices`]), each slice an independent cache
 //! with its own geometry (`1/N` of the capacity, same associativity), its
 //! own way-partition state, and its own UMON. The paper's monolithic L2 is
-//! the `N = 1` degenerate case — bit-identical to the legacy serial
-//! simulator, enforced by `tests/slice_equivalence.rs`.
+//! the `N = 1` degenerate case — bit-identical to the serial simulator,
+//! enforced by `tests/slice_equivalence.rs`.
 //!
 //! # Slice hashing
 //!
@@ -22,45 +22,74 @@
 //! across slices, which is what makes slice-level parallelism an
 //! effective scaling axis (no slice starves; see the distribution tests).
 //!
-//! # Execution and determinism
+//! # Execution
 //!
-//! Execution reuses the set-sharded engine ([`crate::shard`]) with the
-//! demux keyed by the slice hash instead of `set_index mod k`: each core's
-//! stream is split once into `N` per-slice packed sub-traces
-//! ([`crate::shard::demux_stream_by`]), slice `j` is simulated by a full
-//! [`Simulator`](crate::simulator::Simulator) over the slice geometry, and
-//! per-slice intervals run on scoped worker threads, merged in fixed slice
-//! order ([`Llc::new`] degrades to the bit-identical in-order engine on
-//! hosts without a second core, where workers could only time-slice). The
-//! shard engine's bitwise promises carry over unchanged:
+//! Each core's stream is demuxed once, at construction, into `N` per-slice
+//! packed sub-traces: an access goes to its home slice's sub-trace together
+//! with its instruction gap, and barriers are replicated into every
+//! sub-trace so cross-core ordering around a barrier holds within each
+//! slice. Slice `j` is a full [`Simulator`] over the slice geometry that
+//! replays every core's slice-`j` sub-trace and retires
+//! `ceil(interval / N)` instructions per interval, so one merged interval
+//! covers the configured instruction budget.
 //!
-//! 1. **`N = 1` is the legacy serial simulator** — same geometry, same
-//!    interval boundary, every event in order through one slice.
-//! 2. **Parallel == serial reference at every `N`** — worker-thread
-//!    execution is bit-identical to [`Llc::serial_reference`], the same
-//!    decomposition run on one thread.
+//! Between interval boundaries the slices share no mutable state. Each
+//! interval leases up to `N - 1` extra workers from the process core budget
+//! ([`crate::budget`]), runs contiguous chunks of slices on scoped worker
+//! threads (the calling thread works the first chunk), and returns the
+//! tokens at the merge barrier. When the budget grants nothing — a budget
+//! of one core, or a pool drained by outer jobs — every slice runs inline
+//! on the calling thread, in slice order.
+//!
+//! # Merge rules
+//!
+//! * Counters: summed per thread over slices `0..N`.
+//! * Interval CPI: recomputed from the merged deltas (not averaged).
+//! * Wall clock: core `t`'s merged clock is the *sum* of its per-slice
+//!   clocks (each slice advances the core only while it works that slice),
+//!   and the wall clock is the max over cores — the serial definition at
+//!   `N = 1`.
+//! * UMON: slice monitors observe disjoint address subsets, so summing
+//!   their way-hit histograms in slice order
+//!   ([`UtilityMonitor::merge_counters`]) reconstitutes the whole
+//!   hits-vs-ways curve.
+//!
+//! # Determinism
+//!
+//! 1. **`N = 1` is the serial simulator** — same geometry, same interval
+//!    boundary, every event in order through one slice.
+//! 2. **The core budget never changes results.** Each slice advances
+//!    exactly one interval per round whichever OS thread hosts it, chunks
+//!    join in slice order, and the merge is a fixed-order fold. A run under
+//!    `budget::scoped(CoreBudget::new(1), ..)` — every slice inline — is
+//!    therefore the serial reference the worker-thread path is pinned
+//!    against.
 //!
 //! At `N > 1` the machine *model* deliberately changes (slices are
 //! independent caches; a thread's way quota applies per slice), so sliced
 //! results are not comparable to monolithic ones — the experiment caches
 //! key on the slice count for exactly that reason.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use icp_hot_path::deterministic;
 
 use crate::config::{CacheConfig, LlcConfig, SystemConfig};
 use crate::l2::{EnforcementKind, ReplacementKind};
-use crate::perf::Measurable;
-use crate::shard::{demux_stream_by, ShardedSimulator};
-use crate::simulator::IntervalReport;
-use crate::stats::GlobalStats;
-use crate::stream::AccessStream;
+use crate::packed::{PackedBlock, PackedReplayStream, PackedTrace};
+use crate::perf::{Machine, Measurable};
+use crate::simulator::{IntervalReport, Simulator, ThreadIntervalStats};
+use crate::stats::{GlobalStats, ThreadCounters};
+use crate::stream::{AccessStream, ThreadEvent};
 use crate::umon::UtilityMonitor;
 use crate::ThreadId;
 
 /// The 64-bit golden-ratio constant of the Fibonacci multiplicative hash.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Events drained per demux refill.
+const DEMUX_BATCH: usize = 4096;
 
 /// Address-to-slice mapping plus the per-slice geometry, precomputed from
 /// a [`SystemConfig`].
@@ -117,8 +146,40 @@ impl SliceTopology {
     }
 }
 
-/// A sliced-LLC CMP machine — see the [module docs](self) for the model
-/// and determinism guarantees.
+/// Demuxes one core's event stream into one packed sub-trace per slice.
+/// Each access travels to its home slice with its instruction gap;
+/// barriers are replicated into every sub-trace.
+#[deterministic]
+fn demux_stream<S: AccessStream>(mut stream: S, topology: &SliceTopology) -> Vec<PackedTrace> {
+    let mut out: Vec<PackedTrace> =
+        (0..topology.num_slices()).map(|_| PackedTrace::new()).collect();
+    let mut block = PackedBlock::with_capacity(DEMUX_BATCH);
+    loop {
+        stream.fill_packed(&mut block, DEMUX_BATCH);
+        for e in block.to_events() {
+            match e {
+                ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
+                    out[topology.slice_of(addr)].push_access(gap, addr, write, mlp_tenths);
+                }
+                ThreadEvent::Barrier => {
+                    for t in &mut out {
+                        t.push_barrier();
+                    }
+                }
+                ThreadEvent::Finished => {}
+            }
+        }
+        if block.finished() {
+            break;
+        }
+        assert!(!block.is_empty(), "stream stalled without finishing");
+    }
+    out
+}
+
+/// A sliced-LLC CMP machine — see the [module docs](self) for the model,
+/// merge rules and determinism guarantees. Driven through its [`Machine`]
+/// and [`Measurable`] impls, like the serial [`Simulator`].
 ///
 /// # Examples
 ///
@@ -126,7 +187,7 @@ impl SliceTopology {
 /// use icp_cmp_sim::config::LlcConfig;
 /// use icp_cmp_sim::slice::Llc;
 /// use icp_cmp_sim::stream::ReplayStream;
-/// use icp_cmp_sim::{SystemConfig, ThreadEvent};
+/// use icp_cmp_sim::{Machine, Measurable, SystemConfig, ThreadEvent};
 ///
 /// let mut cfg = SystemConfig::scaled_down();
 /// cfg.cores = 2;
@@ -144,216 +205,285 @@ impl SliceTopology {
 /// assert!(llc.wall_cycles() > 0);
 /// ```
 pub struct Llc {
-    /// The slice-hash-demuxed shard engine: shard `j` simulates slice `j`
-    /// at the slice geometry.
-    inner: ShardedSimulator,
-    topology: SliceTopology,
+    /// The machine config: full-LLC geometry, undivided interval.
+    cfg: SystemConfig,
+    /// Slice `j`: a simulator at the slice geometry replaying every core's
+    /// slice-`j` sub-trace.
+    slices: Vec<Simulator<PackedReplayStream>>,
+    /// Merged cumulative statistics, rebuilt at each interval boundary.
+    stats: GlobalStats,
+    interval_index: usize,
+    done: bool,
 }
 
 impl Llc {
     /// Builds a sliced-LLC machine from `cfg` (slice count taken from
-    /// `cfg.llc`), run slice-parallel on scoped worker threads — unless
-    /// the process core budget ([`crate::budget`]: `--jobs` / `ICP_CORES`
-    /// / host cores) is a single core, where worker threads could only
-    /// time-slice against each other and the machine degrades to the
-    /// (bit-identical) in-order serial engine instead, exactly as
-    /// [`PipelinedStream`](crate::pipeline::PipelinedStream) degrades to
-    /// inline generation. Parallel mode itself is arbitrated per interval:
-    /// each interval leases its workers from the budget and returns them
-    /// at the merge barrier. Use [`Llc::with_mode`] to force either mode.
+    /// `cfg.llc`), demuxing every core's stream into its per-slice
+    /// sub-traces up front.
     ///
     /// # Panics
     /// Panics if the config is invalid or the stream count doesn't match
     /// `cfg.cores`.
     #[deterministic]
     pub fn new<S: AccessStream>(cfg: SystemConfig, streams: Vec<S>) -> Self {
-        Self::with_mode(cfg, streams, crate::budget::current().total() >= 2)
-    }
-
-    /// Like [`Llc::new`], but every slice interval runs on the calling
-    /// thread, in slice order — the reference the equivalence suite pins
-    /// the worker-thread path against.
-    #[deterministic]
-    pub fn serial_reference<S: AccessStream>(cfg: SystemConfig, streams: Vec<S>) -> Self {
-        Self::with_mode(cfg, streams, false)
-    }
-
-    /// Builds the machine with an explicit execution mode: `parallel`
-    /// forces scoped worker threads (one per slice) regardless of host
-    /// parallelism; `!parallel` is [`Llc::serial_reference`]. Both modes
-    /// produce bit-identical results (`tests/slice_equivalence.rs`); the
-    /// mode only decides where slice intervals execute.
-    #[deterministic]
-    pub fn with_mode<S: AccessStream>(cfg: SystemConfig, streams: Vec<S>, parallel: bool) -> Self {
         cfg.validate();
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let topology = SliceTopology::of(&cfg);
         let n = topology.num_slices();
         // Each slice simulator runs the slice geometry with a 1/N share of
-        // the interval budget (rounded up, as in the shard engine); the
-        // outer config keeps the full geometry so merged reports and way
-        // quotas stay in whole-LLC terms. At N = 1 this is `cfg` verbatim.
+        // the interval budget (rounded up); the outer config keeps the full
+        // geometry so merged reports and way quotas stay in whole-LLC
+        // terms. At N = 1 this is `cfg` verbatim.
         let mut slice_cfg = cfg;
         slice_cfg.l2 = topology.slice_l2();
         slice_cfg.llc = LlcConfig::monolithic();
         slice_cfg.interval_instructions = cfg.interval_instructions.div_ceil(n as u64);
-        let per_core = streams
+        // Demux core by core, then transpose: slice j replays every core's
+        // slice-j sub-trace.
+        let per_core: Vec<Vec<Arc<PackedTrace>>> = streams
             .into_iter()
-            .map(|s| {
-                demux_stream_by(s, n, |addr| topology.slice_of(addr))
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect()
+            .map(|s| demux_stream(s, &topology).into_iter().map(Arc::new).collect())
+            .collect();
+        let slices = (0..n)
+            .map(|j| {
+                let streams =
+                    per_core.iter().map(|traces| PackedTrace::stream(&traces[j])).collect();
+                Simulator::from_streams(slice_cfg, streams)
             })
             .collect();
-        Llc {
-            inner: ShardedSimulator::from_demuxed(cfg, slice_cfg, per_core, parallel),
-            topology,
+        Llc { cfg, slices, stats: GlobalStats::new(cfg.cores), interval_index: 0, done: false }
+    }
+
+    /// Core `t`'s merged clock: the sum of its per-slice clocks.
+    fn core_clock(&self, t: ThreadId) -> u64 {
+        self.slices.iter().map(|s| s.core_clock(t)).sum()
+    }
+
+    /// The machine-wide utility profile: slice 0's monitor with every
+    /// other slice's counters summed in, in slice order. `None` when UMON
+    /// was never enabled.
+    #[deterministic]
+    fn merged_umon(&self) -> Option<UtilityMonitor> {
+        let mut iter = self.slices.iter().filter_map(|s| s.umon());
+        let mut merged = iter.next()?.clone();
+        for m in iter {
+            merged.merge_counters(m);
         }
+        Some(merged)
     }
 
-    /// The system configuration (full-LLC geometry, undivided interval).
-    pub fn config(&self) -> &SystemConfig {
-        self.inner.config()
+    /// Fixed-order reduction of one round of per-slice interval reports.
+    /// A `None` entry (slice already finished) contributes a zero delta.
+    #[deterministic]
+    fn merge(&mut self, reports: Vec<Option<IntervalReport>>) -> Option<IntervalReport> {
+        if reports.iter().all(Option::is_none) {
+            self.done = true;
+            return None;
+        }
+        let cores = self.cfg.cores;
+        let mut deltas = vec![ThreadCounters::default(); cores];
+        let mut ways = vec![0u32; cores];
+        for r in reports.iter().flatten() {
+            for (t, ts) in r.threads.iter().enumerate() {
+                deltas[t].add(&ts.counters);
+            }
+        }
+        // Partition state is replicated, so any slice's quota view works;
+        // slice order makes the choice deterministic.
+        if let Some(first) = reports.iter().flatten().next() {
+            for (t, w) in ways.iter_mut().enumerate() {
+                *w = first.threads[t].ways;
+            }
+        }
+        // Rebuild the merged cumulative stats from scratch in slice order.
+        let mut stats = GlobalStats::new(cores);
+        for s in &self.slices {
+            let slice_stats = s.stats();
+            for (t, acc) in stats.threads.iter_mut().enumerate() {
+                acc.add(&slice_stats.threads[t]);
+            }
+            stats.interactions.add(&slice_stats.interactions);
+        }
+        self.stats = stats;
+        let finished = self.slices.iter().all(Simulator::is_finished);
+        self.done = finished;
+        let report = IntervalReport {
+            index: self.interval_index,
+            threads: deltas
+                .into_iter()
+                .zip(ways)
+                .map(|(counters, ways)| ThreadIntervalStats {
+                    counters,
+                    cpi: counters.cpi(),
+                    ways,
+                })
+                .collect(),
+            finished,
+            wall_cycles: self.wall_cycles(),
+        };
+        self.interval_index += 1;
+        Some(report)
+    }
+}
+
+/// Runs one interval of every slice on up to `workers` threads: the
+/// calling thread takes the first contiguous chunk of slices, scoped
+/// workers take the rest, and the per-chunk reports are concatenated in
+/// chunk (= slice) order. Each slice still advances exactly one interval,
+/// independently, so chunking only decides which OS thread hosts which
+/// slice — one worker is the inline walk in slice order.
+fn run_slices(
+    slices: &mut [Simulator<PackedReplayStream>],
+    workers: usize,
+) -> Vec<Option<IntervalReport>> {
+    let n = slices.len();
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return slices.iter_mut().map(Simulator::run_interval).collect();
+    }
+    let base = n / workers;
+    let extra = n % workers;
+    let mut rest = slices;
+    let mut chunks: Vec<&mut [Simulator<PackedReplayStream>]> = Vec::with_capacity(workers);
+    for i in 0..workers {
+        let take = base + usize::from(i < extra);
+        let (head, tail) = rest.split_at_mut(take);
+        chunks.push(head);
+        rest = tail;
+    }
+    std::thread::scope(|scope| {
+        let mut iter = chunks.into_iter();
+        let mine = iter.next();
+        let handles: Vec<_> = iter
+            .map(|chunk| {
+                scope.spawn(move || {
+                    chunk.iter_mut().map(Simulator::run_interval).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut reports: Vec<Option<IntervalReport>> = Vec::with_capacity(n);
+        // The calling thread works its own chunk while the workers run.
+        if let Some(chunk) = mine {
+            reports.extend(chunk.iter_mut().map(Simulator::run_interval));
+        }
+        // Joining in spawn (= slice-chunk) order makes the concatenated
+        // sequence independent of completion order.
+        for h in handles {
+            match h.join() {
+                Ok(part) => reports.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        reports
+    })
+}
+
+impl Measurable for Llc {
+    /// Merged cumulative statistics, current as of the last interval
+    /// boundary.
+    fn stats(&self) -> &GlobalStats {
+        &self.stats
     }
 
-    /// The address-to-slice mapping in force.
-    pub fn topology(&self) -> &SliceTopology {
-        &self.topology
+    /// Stream events consumed so far, summed over slices.
+    fn events_processed(&self) -> u64 {
+        self.slices.iter().map(|s| s.events_processed()).sum()
     }
 
-    /// Number of LLC slices (and worker threads in parallel mode).
-    pub fn num_slices(&self) -> usize {
-        self.topology.num_slices()
+    /// Merged wall clock: the maximum merged core clock.
+    fn wall_cycles(&self) -> u64 {
+        (0..self.cfg.cores).map(|t| self.core_clock(t)).max().unwrap_or(0)
     }
 
-    /// Whether slice intervals run on worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.inner.is_parallel()
+    /// Runs every slice to its next interval boundary and merges the
+    /// per-slice reports in slice order. Returns `None` once the workload
+    /// has completed.
+    #[deterministic]
+    fn run_interval(&mut self) -> Option<IntervalReport> {
+        if self.done {
+            return None;
+        }
+        let reports = {
+            // Lease per interval; the tokens return at the merge barrier.
+            let lease = crate::budget::current().lease(self.slices.len().saturating_sub(1));
+            run_slices(&mut self.slices, 1 + lease.tokens())
+        };
+        self.merge(reports)
+    }
+}
+
+impl Machine for Llc {
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
     }
 
     /// Applies a way partition to every slice (quotas in way units; ways
     /// are not divided across slices, so a thread's quota applies in each
     /// slice independently).
-    pub fn set_partition(&mut self, targets: &[u32]) {
-        self.inner.set_partition(targets);
-    }
-
-    /// Reverts every slice to plain shared (global LRU) operation.
-    pub fn set_unpartitioned(&mut self) {
-        self.inner.set_unpartitioned();
+    fn set_partition(&mut self, targets: &[u32]) {
+        for s in &mut self.slices {
+            s.set_partition(targets);
+        }
     }
 
     /// Applies a set partition (quotas in way units, converted to set
     /// ranges within each slice).
-    pub fn set_set_partition(&mut self, quotas: &[u32]) {
-        self.inner.set_set_partition(quotas);
+    fn set_set_partition(&mut self, quotas: &[u32]) {
+        for s in &mut self.slices {
+            s.set_set_partition(quotas);
+        }
     }
 
-    /// Selects the L2 replacement policy on every slice.
-    pub fn set_replacement(&mut self, kind: ReplacementKind) {
-        self.inner.set_replacement(kind);
+    fn set_unpartitioned(&mut self) {
+        for s in &mut self.slices {
+            s.set_unpartitioned();
+        }
     }
 
-    /// Selects the partition enforcement mechanism on every slice.
-    pub fn set_enforcement(&mut self, kind: EnforcementKind) {
-        self.inner.set_enforcement(kind);
+    fn set_replacement(&mut self, kind: ReplacementKind) {
+        for s in &mut self.slices {
+            s.set_replacement(kind);
+        }
+    }
+
+    fn set_enforcement(&mut self, kind: EnforcementKind) {
+        for s in &mut self.slices {
+            s.set_enforcement(kind);
+        }
     }
 
     /// Attaches a utility monitor to every slice. `sample_every` is
     /// clamped to the slice set count so callers can pass whole-LLC
     /// sampling rates unchanged.
-    pub fn enable_umon(&mut self, sample_every: u64) {
-        self.inner.enable_umon(sample_every.min(self.topology.slice_l2().num_sets()));
-    }
-
-    /// The machine-wide utility profile: every slice monitor's counters
-    /// summed in slice order ([`UtilityMonitor::merge_counters`] — slices
-    /// observe disjoint address subsets, so the sum reconstitutes the
-    /// whole hits-vs-ways curve). `None` when UMON was never enabled.
-    #[deterministic]
-    pub fn merged_umon(&self) -> Option<UtilityMonitor> {
-        self.inner.merged_umon()
-    }
-
-    /// Halves every slice monitor's counters (see
-    /// [`UtilityMonitor::decay_counters`]).
-    pub fn decay_umon(&mut self) {
-        self.inner.decay_umon();
-    }
-
-    /// Merged cumulative statistics, current as of the last interval
-    /// boundary.
-    pub fn stats(&self) -> &GlobalStats {
-        self.inner.stats()
-    }
-
-    /// Core `t`'s merged clock: the sum of its per-slice clocks.
-    pub fn core_clock(&self, t: ThreadId) -> u64 {
-        self.inner.core_clock(t)
-    }
-
-    /// Merged wall clock: the maximum merged core clock.
-    pub fn wall_cycles(&self) -> u64 {
-        self.inner.wall_cycles()
-    }
-
-    /// Stream events consumed so far, summed over slices.
-    pub fn events_processed(&self) -> u64 {
-        self.inner.events_processed()
-    }
-
-    /// Whether every thread of every slice has finished.
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Runs every slice to its next interval boundary — concurrently in
-    /// parallel mode — and merges the per-slice reports in slice order.
-    /// Returns `None` once the workload has completed.
-    #[deterministic]
-    pub fn run_interval(&mut self) -> Option<IntervalReport> {
-        self.inner.run_interval()
-    }
-
-    /// Runs every remaining interval, invoking `on_interval` at each
-    /// boundary; the callback may inspect the report and repartition.
-    /// Returns total wall cycles at completion.
-    pub fn run_to_completion<F: FnMut(&mut Self, &IntervalReport)>(
-        &mut self,
-        mut on_interval: F,
-    ) -> u64 {
-        while let Some(report) = self.run_interval() {
-            let r = report;
-            on_interval(self, &r);
+    fn enable_umon(&mut self, sample_every: u64) {
+        for s in &mut self.slices {
+            let sets = s.config().l2.num_sets();
+            s.enable_umon(sample_every.min(sets));
         }
-        self.wall_cycles()
-    }
-}
-
-impl Measurable for Llc {
-    fn stats(&self) -> &GlobalStats {
-        Llc::stats(self)
     }
 
-    fn events_processed(&self) -> u64 {
-        Llc::events_processed(self)
+    fn umon_enabled(&self) -> bool {
+        self.slices.iter().any(|s| s.umon().is_some())
     }
 
-    fn wall_cycles(&self) -> u64 {
-        Llc::wall_cycles(self)
+    fn umon_view(&self) -> Option<Cow<'_, UtilityMonitor>> {
+        self.merged_umon().map(Cow::Owned)
     }
 
-    fn run_interval(&mut self) -> Option<IntervalReport> {
-        Llc::run_interval(self)
+    fn decay_umon(&mut self) {
+        for s in &mut self.slices {
+            if let Some(u) = s.umon_mut() {
+                u.decay_counters();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{self, CoreBudget};
     use crate::config::{CacheConfig, LatencyConfig};
-    use crate::simulator::Simulator;
     use crate::stream::{ReplayStream, ThreadEvent};
 
     fn tiny_cfg(slices: u32) -> SystemConfig {
@@ -391,7 +521,13 @@ mod tests {
         (llc.wall_cycles(), llc.stats().clone(), insts)
     }
 
-    /// N = 1 is the legacy serial simulator, bit for bit.
+    /// Builds and runs the machine to completion under a private core
+    /// budget of `cores`.
+    fn run_under(cores: usize, cfg: SystemConfig, n: u64) -> (u64, GlobalStats, Vec<u64>) {
+        budget::scoped(CoreBudget::new(cores), || run(&mut Llc::new(cfg, streams(n))))
+    }
+
+    /// N = 1 is the serial simulator, bit for bit.
     #[test]
     fn one_slice_equals_serial() {
         let cfg = tiny_cfg(1);
@@ -403,16 +539,14 @@ mod tests {
         assert_eq!(serial.stats(), llc.stats());
     }
 
-    /// Worker-thread execution is bit-identical to the serial reference at
-    /// every slice count.
+    /// Worker-thread execution (one worker per slice) is bit-identical to
+    /// the inline walk of a one-core budget at every slice count.
     #[test]
     fn parallel_matches_serial_reference() {
         for slices in [1u32, 2, 4, 8] {
             let cfg = tiny_cfg(slices);
-            let (wall_p, stats_p, insts_p) =
-                run(&mut Llc::with_mode(cfg, streams(300), true));
-            let (wall_s, stats_s, insts_s) =
-                run(&mut Llc::serial_reference(cfg, streams(300)));
+            let (wall_p, stats_p, insts_p) = run_under(slices as usize, cfg, 300);
+            let (wall_s, stats_s, insts_s) = run_under(1, cfg, 300);
             assert_eq!(wall_p, wall_s, "N={slices}: wall diverged");
             assert_eq!(stats_p, stats_s, "N={slices}: stats diverged");
             assert_eq!(insts_p, insts_s, "N={slices}: interval shape diverged");
@@ -476,19 +610,36 @@ mod tests {
     }
 
     /// The per-slice geometry divides sets, not ways, and UMON profiles
-    /// merge across slices.
+    /// merge across slices: at N = 1 the merged profile is the serial one,
+    /// and at N > 1 it conserves every sampled observation.
     #[test]
     fn sliced_umon_merges() {
-        let cfg = tiny_cfg(4);
-        let mut llc = Llc::new(cfg, streams(200));
-        llc.enable_umon(cfg.l2.num_sets()); // clamped to the slice set count
-        while llc.run_interval().is_some() {}
-        let umon = llc.merged_umon().expect("umon enabled");
-        let observed: u64 = (0..2)
-            .map(|t| {
-                umon.way_histogram(t).iter().sum::<u64>() + umon.compulsory_capacity_misses(t)
-            })
-            .sum();
-        assert!(observed > 0, "merged profile saw no sampled accesses");
+        let mono = tiny_cfg(1);
+        let mut serial = Simulator::from_streams(mono, streams(200));
+        serial.enable_umon(1);
+        while serial.run_interval().is_some() {}
+        let reference = serial.umon().expect("umon enabled");
+        let observed = |u: &UtilityMonitor, t: ThreadId| {
+            u.way_histogram(t).iter().sum::<u64>() + u.compulsory_capacity_misses(t)
+        };
+        for slices in [1u32, 2, 4] {
+            let cfg = tiny_cfg(slices);
+            let mut llc = Llc::new(cfg, streams(200));
+            assert!(!llc.umon_enabled());
+            llc.enable_umon(1);
+            assert!(llc.umon_enabled());
+            while llc.run_interval().is_some() {}
+            let merged = llc.umon_view().expect("umon enabled");
+            for t in 0..2 {
+                if slices == 1 {
+                    assert_eq!(merged.way_histogram(t), reference.way_histogram(t));
+                }
+                assert_eq!(
+                    observed(&merged, t),
+                    observed(reference, t),
+                    "N={slices} thread {t}: observations lost"
+                );
+            }
+        }
     }
 }

@@ -124,16 +124,6 @@ pub trait AccessStream {
             }
         }
     }
-
-    /// Like [`Self::fill_packed`], but `cap` is *advisory*: the stream may
-    /// deliver more events when a larger block is already materialised —
-    /// the pipelined consumer swaps whole producer blocks into `out` by
-    /// ownership instead of copying columns. Consumers sized for exact
-    /// batches must use `fill_packed`; the simulator's per-core ring
-    /// drains whatever arrives.
-    fn next_block(&mut self, out: &mut PackedBlock, cap: usize) {
-        self.fill_packed(out, cap);
-    }
 }
 
 /// Blanket impl so closures can serve as streams in tests.
@@ -157,10 +147,6 @@ impl AccessStream for Box<dyn AccessStream + '_> {
 
     fn fill_packed(&mut self, out: &mut PackedBlock, cap: usize) {
         (**self).fill_packed(out, cap);
-    }
-
-    fn next_block(&mut self, out: &mut PackedBlock, cap: usize) {
-        (**self).next_block(out, cap);
     }
 }
 

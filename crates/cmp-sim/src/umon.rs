@@ -163,11 +163,11 @@ impl UtilityMonitor {
     }
 
     /// Accumulates another monitor's counters into this one. Used by the
-    /// set-sharded simulator to reduce per-shard UMONs into one system-wide
-    /// profile: each shard observes a disjoint slice of the set space, so
-    /// summing `way_hits` and `atd_misses` in shard order reconstitutes the
+    /// sliced LLC to reduce per-slice UMONs into one system-wide profile:
+    /// each slice observes a disjoint subset of the address space, so
+    /// summing `way_hits` and `atd_misses` in slice order reconstitutes the
     /// whole hits-vs-ways curve. Tag stacks are left alone (they are
-    /// per-set state and the shards' sets never overlap).
+    /// per-set state of each slice's own cache).
     ///
     /// # Panics
     /// Panics if the two monitors have different thread or way counts.

@@ -12,16 +12,20 @@
 //! * **Replay equivalence**: a `PackedReplayStream` delivers exactly the
 //!   `ReplayStream` sequence, event-by-event and under random batch sizes.
 //! * **Record equivalence**: `PackedTrace::record` with a random event
-//!   limit stores exactly what `Trace::record` stores.
+//!   limit stores exactly what draining the stream event by event up to
+//!   that limit yields.
 //! * **Columnar drain equivalence**: draining a stream through
 //!   `fill_packed` blocks under a random cap schedule reconstructs the
 //!   exact event sequence — for both the default bridging implementation
 //!   and `PackedReplayStream`'s zero-copy override — with every block
 //!   respecting its cap and the finished flag replacing the in-band
 //!   `Finished` event.
+//! * **Binary format**: `to_bytes` round-trips through `from_bytes`, and
+//!   every truncation and random byte flips of a valid encoding decode to
+//!   a `TraceError` or a trace — never a panic.
 
 use icp_cmp_sim::stream::{AccessStream, ReplayStream, ThreadEvent};
-use icp_cmp_sim::{PackedBlock, PackedTrace, Trace};
+use icp_cmp_sim::{PackedBlock, PackedTrace, TraceError};
 use icp_numeric::rng::Xoshiro256;
 use std::sync::Arc;
 
@@ -57,11 +61,14 @@ fn packed_roundtrip_property() {
             events.len(),
             "case {case}: event count"
         );
-        assert_eq!(
-            packed.instructions(),
-            Trace::from_events(events).instructions(),
-            "case {case}: instruction count"
-        );
+        let instructions: u64 = events
+            .iter()
+            .map(|e| match e {
+                ThreadEvent::Access { gap, .. } => u64::from(*gap) + 1,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(packed.instructions(), instructions, "case {case}: instruction count");
     }
 }
 
@@ -146,8 +153,21 @@ fn fill_packed_drain_matches_events_property() {
     }
 }
 
+/// The first `limit` events of `stream`, drained one at a time (the
+/// trailing `Finished` not stored) — the reference for `record`.
+fn drain_events<S: AccessStream>(stream: &mut S, limit: usize) -> Vec<ThreadEvent> {
+    let mut out = Vec::new();
+    while out.len() < limit {
+        match stream.next_event() {
+            ThreadEvent::Finished => break,
+            e => out.push(e),
+        }
+    }
+    out
+}
+
 #[test]
-fn packed_record_matches_trace_record_property() {
+fn packed_record_matches_drained_events_property() {
     let mut rng = Xoshiro256::seed_from_u64(0xBEEF_F00D);
     for case in 0..150u64 {
         let len = rng.next_bounded(300) as usize;
@@ -156,8 +176,51 @@ fn packed_record_matches_trace_record_property() {
         let limit = rng.next_bounded(2 * len as u64 + 2) as usize;
         let mut s1 = ReplayStream::new(events.clone());
         let mut s2 = ReplayStream::new(events);
-        let reference = Trace::record(&mut s1, limit);
+        let reference = drain_events(&mut s1, limit);
         let packed = PackedTrace::record(&mut s2, limit);
-        assert_eq!(packed.to_events(), reference.events(), "case {case} limit {limit}");
+        assert_eq!(packed.to_events(), reference, "case {case} limit {limit}");
+    }
+}
+
+#[test]
+fn bytes_roundtrip_property() {
+    let mut rng = Xoshiro256::seed_from_u64(0xB1_7E5);
+    for case in 0..150u64 {
+        let len = rng.next_bounded(300) as usize;
+        let packed = PackedTrace::from_events(&random_events(&mut rng, len));
+        let back = PackedTrace::from_bytes(&packed.to_bytes());
+        assert_eq!(back.as_ref(), Ok(&packed), "case {case}");
+    }
+}
+
+/// Decoding untrusted bytes never panics: every proper prefix of a valid
+/// encoding is rejected as truncated, and random byte flips (in the header,
+/// tags and payloads alike) decode to an error or to some trace.
+#[test]
+fn from_bytes_rejects_corruption_without_panicking() {
+    let mut rng = Xoshiro256::seed_from_u64(0xF1_1B5);
+    for case in 0..40u64 {
+        let len = rng.next_bounded(60) as usize;
+        let bytes = PackedTrace::from_events(&random_events(&mut rng, len)).to_bytes();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                PackedTrace::from_bytes(&bytes[..cut]),
+                Err(TraceError::Truncated),
+                "case {case}: prefix of {cut} of {} bytes",
+                bytes.len()
+            );
+        }
+        for flip in 0..200u64 {
+            let mut corrupt = bytes.clone();
+            for _ in 0..=rng.next_bounded(3) {
+                let at = rng.next_bounded(corrupt.len() as u64) as usize;
+                corrupt[at] ^= (rng.next_bounded(255) + 1) as u8;
+            }
+            if let Ok(trace) = PackedTrace::from_bytes(&corrupt) {
+                // Whatever decodes re-encodes to a well-formed trace.
+                let again = PackedTrace::from_bytes(&trace.to_bytes());
+                assert_eq!(again.as_ref(), Ok(&trace), "case {case} flip {flip}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The intra-application runtime system (paper §VI-C, Figures 16–17).
 //!
 //! [`IntraAppRuntime`] wires a [`Partitioner`] to a [`Machine`] (the
-//! serial simulator, the set-sharded engine, or the sliced LLC): before
+//! serial simulator or the sliced LLC): before
 //! execution it applies the policy's initial partition, then at every
 //! interval boundary it reads the per-thread counters (cache/CPI monitor),
 //! asks the policy for a decision (partition engine) and applies it to the

@@ -6,10 +6,10 @@
 //! cargo run --release --bin bench_hotpath                 # record current numbers
 //! cargo run --release --bin bench_hotpath -- --set-baseline
 //! cargo run --release --bin bench_hotpath -- --events 250000 --repeats 5 --out other.json
-//! cargo run --release --bin bench_hotpath -- --only sharded --events 2000 --out smoke.json
+//! cargo run --release --bin bench_hotpath -- --only sliced --events 2000 --out smoke.json
 //! ```
 //!
-//! A normal run re-measures the sixteen scenarios and rewrites the
+//! A normal run re-measures the thirteen scenarios and rewrites the
 //! `current` section while carrying the `baseline` section over from the
 //! existing file, so the pre-optimisation numbers stay recorded alongside
 //! every later measurement. `--set-baseline` (re)captures the baseline
@@ -26,21 +26,21 @@
 //! every budget. v6 added the sliced-LLC machine scenarios
 //! (`sliced_16t`, `sliced_16t_serial`, `sliced_64t`): 16 threads on a
 //! 4-slice and 64 threads on an 8-slice address-hashed LLC, slice-parallel
-//! vs the in-order serial reference (digest bit-identical; the throughput
-//! ratio is the tracked slice-scaling speedup). v5 added the end-to-end
+//! vs the same machine under a one-core budget (digest bit-identical; the
+//! throughput ratio is the tracked slice-scaling speedup). v5 added the end-to-end
 //! sweep scenarios
 //! (`sweep_axis`, `sweep_axis_warm`): one interval-axis sensitivity sweep
 //! against a cold vs pre-populated result cache, with counters and digest
 //! taken from the cache totals (the cold→warm `host_secs` drop is the
 //! result cache's tracked speedup; these two scenarios run the experiment
-//! test scale and ignore `--events`). v4 added the set-sharded parallel
-//! scenarios (`sharded_4t`, `sharded_packed_4t`) and the per-scenario
-//! simulator shard count (`shards`: 1 for the serial simulator, 0 for
-//! generation-only scenarios) on top of v3's `gen_packed` and
-//! `pipeline_packed`; a carried-over earlier-schema `baseline` section
-//! simply lacks the keys its version predates. `--only SUBSTR` restricts a
-//! run to the scenarios whose names contain `SUBSTR` (used by the CI smoke
-//! matrix to exercise the sharded path in isolation).
+//! test scale and ignore `--events`). v4 added the per-scenario simulator
+//! shard count (`shards`: 1 for the serial simulator, the slice count for
+//! sliced scenarios, 0 for generation-only scenarios) on top of v3's
+//! `gen_packed` and `pipeline_packed`; a carried-over earlier-schema
+//! `baseline` section simply lacks the keys its version predates.
+//! `--only SUBSTR` restricts a run to the scenarios whose names contain
+//! `SUBSTR` (used by the CI smoke matrix to exercise the sliced path in
+//! isolation).
 
 use std::path::{Path, PathBuf};
 

@@ -27,7 +27,7 @@
 //!   --cores N       simulated cores/threads (default 4)
 //!   --scale test|figure   workload length (default figure)
 //!   --jobs N        core budget for this process (like ICP_CORES=N): every
-//!                   thread — suite workers, slice/shard workers, pipeline
+//!                   thread — suite workers, slice workers, trace
 //!                   producers — is leased from this pool; results are
 //!                   bit-identical at every value
 //! ```
@@ -335,7 +335,7 @@ fn main() {
             .unwrap_or(2);
         // The inner-parallelism stress topology: 8 cores × 8 LLC slices, so
         // every cell of the 9 × 4 suite matrix wants slice workers and
-        // pipeline producers of its own. The flat baseline gives each cell a
+        // trace producers of its own. The flat baseline gives each cell a
         // private full-size budget (the pre-arbiter oversubscription); the
         // scheduled pass arbitrates everything against one pool.
         let mut bcfg = cfg.with_topology(8, 8);

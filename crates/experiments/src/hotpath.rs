@@ -20,31 +20,20 @@
 //!   [`AccessStream::fill_packed`] path into recycled [`PackedBlock`]s: the
 //!   direct-to-packed generation fast path with zero trace retention;
 //!   digest bit-identical to `gen_only`.
-//! * `pipeline_4t` — the interleaved workload with generation running on
-//!   per-thread producer threads concurrently with simulation
-//!   ([`PipelinedStream`]); digest bit-identical to `interleaved_4t`.
 //! * `pipeline_packed` — full-workload materialisation via
 //!   [`BenchmarkSpec::pack_streams_parallel`] (one producer per thread,
 //!   columnar generation straight into packed traces): the trace-cache
 //!   fill path; digest bit-identical to `gen_only`.
-//! * `sharded_4t` — the interleaved workload on the set-sharded parallel
-//!   simulator ([`ShardedSimulator`], 4 slices on 4 worker threads): the
-//!   sliced-LLC machine that scales the sim loop with the host. Sharding
-//!   is a (deliberate) machine-model change at `k > 1`, so its digest is
-//!   its own — pinned deterministic, and bit-identical to
-//!   `sharded_packed_4t`.
-//! * `sharded_packed_4t` — the sharded machine fed from record-once packed
-//!   traces instead of inline generation; digest bit-identical to
-//!   `sharded_4t` (the demux sees the same events either way).
 //! * `sliced_16t` — sixteen cores on a 4-slice address-hashed LLC
-//!   ([`Llc`], one worker thread per slice): the 8+-core machine model the
-//!   `eight_plus_core` scorecard tier runs on. Slicing at N > 1 is a
-//!   machine-model change (per-slice geometry), so its digest is its own —
-//!   pinned deterministic, and bit-identical to `sliced_16t_serial`.
-//! * `sliced_16t_serial` — the same sliced machine with every slice
-//!   interval on the calling thread, in slice order: the serial reference
-//!   the slice-parallel digest is pinned against, and the denominator of
-//!   the tracked slice-scaling speedup.
+//!   ([`Llc`], slices on budget-leased worker threads): the 8+-core
+//!   machine model the `eight_plus_core` scorecard tier runs on. Slicing
+//!   at N > 1 is a machine-model change (per-slice geometry), so its
+//!   digest is its own — pinned deterministic, and bit-identical to
+//!   `sliced_16t_serial`.
+//! * `sliced_16t_serial` — the same sliced machine under a one-core budget,
+//!   so every slice interval runs on the calling thread, in slice order:
+//!   the serial reference the slice-parallel digest is pinned against, and
+//!   the denominator of the tracked slice-scaling speedup.
 //! * `sliced_64t` — sixty-four cores on an 8-slice LLC: the top of the
 //!   configured topology range, showing slice scaling holds at width.
 //! * `sweep_axis` — one full interval-axis sensitivity sweep (test scale)
@@ -59,10 +48,10 @@
 //! * `suite_figures` — the whole figure pass (9 benchmarks × 4 schemes)
 //!   through the core-budget scheduler ([`crate::sched`]): LPT-ordered
 //!   jobs on budget-leased workers, trace generation overlapped with
-//!   simulation, inner slice/shard/pipeline parallelism arbitrated
-//!   against the same token pool. Counters and digest come from the
-//!   result-cache totals (machine-independent); `utilization` and
-//!   `peak_threads` report what the scheduler actually used.
+//!   simulation, inner slice parallelism arbitrated against the same
+//!   token pool. Counters and digest come from the result-cache totals
+//!   (machine-independent); `utilization` and `peak_threads` report what
+//!   the scheduler actually used.
 //! * `suite_figures_warm` — the same pass against pre-populated caches:
 //!   zero simulations, pure scheduling overhead. Digest bit-identical to
 //!   `suite_figures`.
@@ -74,10 +63,11 @@
 
 use std::time::Instant;
 
+use icp_cmp_sim::budget::{self, CoreBudget};
 use icp_cmp_sim::stream::{AccessStream, ReplayStream};
 use icp_cmp_sim::{
-    perf, CacheConfig, Llc, LlcConfig, PackedBlock, PackedTrace, PipelinedStream,
-    ShardedSimulator, Simulator, SystemConfig, TakeStream, ThreadEvent,
+    perf, CacheConfig, Llc, LlcConfig, Machine, PackedBlock, PackedReplayStream, PackedTrace,
+    Simulator, SystemConfig, ThreadEvent,
 };
 use icp_workloads::{BenchmarkSpec, SyntheticStream, WorkloadBuilder, WorkloadScale};
 
@@ -87,15 +77,13 @@ use crate::json::Json;
 #[derive(Clone, Debug)]
 pub struct HotpathResult {
     /// Scenario name (`single_access`, `l2_miss_prefetch`,
-    /// `interleaved_4t`, `gen_only`, `gen_packed`, `pipeline_4t`,
-    /// `pipeline_packed`, `sharded_4t`, `sharded_packed_4t`, `sliced_16t`,
-    /// `sliced_16t_serial`, `sliced_64t`, `sweep_axis`, `sweep_axis_warm`,
-    /// `suite_figures`, `suite_figures_warm`).
+    /// `interleaved_4t`, `gen_only`, `gen_packed`, `pipeline_packed`,
+    /// `sliced_16t`, `sliced_16t_serial`, `sliced_64t`, `sweep_axis`,
+    /// `sweep_axis_warm`, `suite_figures`, `suite_figures_warm`).
     pub name: &'static str,
-    /// Simulator shards (set stripes or LLC slices / worker threads): 1
-    /// for the serial simulator, the pinned shard or slice count for
-    /// sharded and sliced scenarios, 0 for generation-only scenarios that
-    /// never build a simulator.
+    /// Simulator shards (LLC slices): 1 for the serial simulator, the
+    /// pinned slice count for sliced scenarios, 0 for generation-only
+    /// scenarios that never build a simulator.
     pub shards: u32,
     /// Demand memory accesses simulated (L1 hits + misses over all threads).
     pub accesses: u64,
@@ -165,7 +153,7 @@ fn base_config(cores: usize) -> SystemConfig {
 
 /// Runs `sim` to completion under [`perf::measure_to_completion`] and wraps
 /// the report in a [`HotpathResult`]. Generic over [`perf::Measurable`], so
-/// the serial and sharded engines share one measurement (and digest)
+/// the serial and sliced machines share one measurement (and digest)
 /// definition.
 fn run_scenario<M: perf::Measurable>(name: &'static str, shards: u32, mut sim: M) -> HotpathResult {
     let report = perf::measure_to_completion(&mut sim);
@@ -333,12 +321,14 @@ pub fn gen_packed(events_per_thread: usize) -> HotpathResult {
         .iter()
         .enumerate()
         .map(|(t, ts)| {
-            let synth =
+            let mut stream =
                 SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Figure, HOTPATH_4T_SEED);
-            let mut stream = TakeStream::new(synth, events_per_thread);
             let (mut insts, mut accs, mut bars) = (0u64, 0u64, 0u64);
+            // The same `events_per_thread` bound `pack_streams` records.
+            let mut remaining = events_per_thread;
             loop {
-                stream.fill_packed(&mut block, BATCH);
+                stream.fill_packed(&mut block, BATCH.min(remaining));
+                remaining -= block.len();
                 insts += block.gaps().iter().map(|&g| g as u64 + 1).sum::<u64>();
                 accs += block.accesses() as u64;
                 bars += block.barrier_count() as u64;
@@ -368,102 +358,6 @@ pub fn pipeline_packed(events_per_thread: usize) -> HotpathResult {
     gen_result("pipeline_packed", &trace_counters(&traces), host_secs)
 }
 
-/// The pipelined 4-thread path: same workload, partition and event budget
-/// as [`interleaved_4t`], but each thread's events are generated on its own
-/// producer thread ([`PipelinedStream`]) while the simulator consumes —
-/// generation overlaps simulation instead of preceding it. Per-thread
-/// independent RNG derivation makes the digest bit-identical to
-/// `interleaved_4t`'s (asserted in tests and checkable in the JSON
-/// trajectory).
-pub fn pipeline_4t(events_per_thread: usize) -> HotpathResult {
-    let mut cfg = base_config(4);
-    cfg.l2_banks = 8;
-    let spec = hotpath_4t_spec();
-    let streams: Vec<Box<dyn AccessStream>> = spec
-        .threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth =
-                SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Figure, HOTPATH_4T_SEED);
-            let bounded = TakeStream::new(synth, events_per_thread);
-            Box::new(PipelinedStream::spawn(bounded)) as Box<dyn AccessStream>
-        })
-        .collect();
-    let mut sim = Simulator::new(cfg, streams);
-    sim.set_partition(&icp_cmp_sim::l2::equal_split(cfg.l2.ways, cfg.cores));
-    run_scenario("pipeline_4t", 1, sim)
-}
-
-/// Slice count of the sharded scenarios. Pinned (not host-sized) so the
-/// recorded digests are machine-independent; 4 matches the paper-shaped
-/// 4-core config and is enough to saturate typical CI hosts.
-pub const SHARDED_4T_SHARDS: usize = 4;
-
-/// The sharded machine over the [`hotpath_4t_spec`] workload at a given
-/// slice count, fed from inline synthetic generation (the demux drains the
-/// generators before the clock starts, mirroring how `interleaved_4t`
-/// pre-records its traces).
-fn sharded_4t_with(
-    name: &'static str,
-    events_per_thread: usize,
-    shards: usize,
-) -> HotpathResult {
-    let mut cfg = base_config(4);
-    cfg.l2_banks = 8;
-    let spec = hotpath_4t_spec();
-    let streams: Vec<_> = spec
-        .threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth =
-                SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Figure, HOTPATH_4T_SEED);
-            TakeStream::new(synth, events_per_thread)
-        })
-        .collect();
-    let mut sim = ShardedSimulator::new(cfg, streams, shards);
-    sim.set_partition(&icp_cmp_sim::l2::equal_split(cfg.l2.ways, cfg.cores));
-    run_scenario(name, shards as u32, sim)
-}
-
-/// Like [`sharded_4t_with`], but fed from record-once packed traces — the
-/// sharded analogue of `interleaved_4t`'s replay path. Equal slice counts
-/// must produce digests bit-identical to the inline-fed variant (the demux
-/// sees the same events either way).
-fn sharded_packed_4t_with(
-    name: &'static str,
-    events_per_thread: usize,
-    shards: usize,
-) -> HotpathResult {
-    let mut cfg = base_config(4);
-    cfg.l2_banks = 8;
-    let spec = hotpath_4t_spec();
-    let replays: Vec<_> = spec
-        .pack_streams(&cfg, WorkloadScale::Figure, HOTPATH_4T_SEED, events_per_thread)
-        .iter()
-        .map(PackedTrace::stream)
-        .collect();
-    let mut sim = ShardedSimulator::new(cfg, replays, shards);
-    sim.set_partition(&icp_cmp_sim::l2::equal_split(cfg.l2.ways, cfg.cores));
-    run_scenario(name, shards as u32, sim)
-}
-
-/// The set-sharded parallel path: the interleaved workload on a
-/// [`ShardedSimulator`] with [`SHARDED_4T_SHARDS`] slices, each interval
-/// running on its own worker thread. The number that shows the sim loop
-/// scaling with the host.
-pub fn sharded_4t(events_per_thread: usize) -> HotpathResult {
-    sharded_4t_with("sharded_4t", events_per_thread, SHARDED_4T_SHARDS)
-}
-
-/// The sharded machine fed from packed-trace replay — sharding composed
-/// with the record-once/replay pattern the experiment sweeps use. Digest
-/// bit-identical to [`sharded_4t`].
-pub fn sharded_packed_4t(events_per_thread: usize) -> HotpathResult {
-    sharded_packed_4t_with("sharded_packed_4t", events_per_thread, SHARDED_4T_SHARDS)
-}
-
 /// Master seed of the sliced-LLC scenarios.
 const SLICED_SEED: u64 = 0x511C_ED16;
 
@@ -486,47 +380,46 @@ fn sliced_spec(threads: usize) -> BenchmarkSpec {
 }
 
 /// The sliced-LLC machine over [`sliced_spec`] at a given topology, under
-/// an equal way partition (the demux drains the generators before the
-/// clock starts, like the other simulation scenarios).
+/// an equal way partition (generation and the slice demux both finish
+/// before the clock starts, like the other simulation scenarios). With
+/// `serial` set the scenario runs under a one-core budget, so every slice
+/// interval runs inline on the calling thread.
 fn sliced_with(
     name: &'static str,
     events_per_thread: usize,
     cores: usize,
     slices: u32,
-    parallel: bool,
+    serial: bool,
 ) -> HotpathResult {
-    let mut cfg = base_config(cores);
-    cfg.l2_banks = 8;
-    cfg.llc = LlcConfig::sliced(slices);
-    let spec = sliced_spec(cores);
-    let streams: Vec<_> = spec
-        .threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth =
-                SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Figure, SLICED_SEED);
-            TakeStream::new(synth, events_per_thread)
-        })
-        .collect();
-    let mut sim = if parallel {
-        Llc::new(cfg, streams)
-    } else {
-        Llc::serial_reference(cfg, streams)
+    let run = || {
+        let mut cfg = base_config(cores);
+        cfg.l2_banks = 8;
+        cfg.llc = LlcConfig::sliced(slices);
+        // The replay streams own their traces, so each trace is freed as
+        // soon as the demux has split it.
+        let streams: Vec<_> = sliced_spec(cores)
+            .pack_streams(&cfg, WorkloadScale::Figure, SLICED_SEED, events_per_thread)
+            .into_iter()
+            .map(PackedReplayStream::new)
+            .collect();
+        let mut sim = Llc::new(cfg, streams);
+        sim.set_partition(&icp_cmp_sim::l2::equal_split(cfg.l2.ways, cfg.cores));
+        run_scenario(name, slices, sim)
     };
-    sim.set_partition(&icp_cmp_sim::l2::equal_split(cfg.l2.ways, cfg.cores));
-    run_scenario(name, slices, sim)
+    if serial {
+        budget::scoped(CoreBudget::new(1), run)
+    } else {
+        run()
+    }
 }
 
-/// The slice-parallel 16-thread path: 16 cores on a 4-slice LLC, each
-/// slice's interval on its own worker thread — the machine the
-/// `eight_plus_core` scorecard tier measures. The tracked number for slice
-/// scaling past the paper's 4-core chip. On a host without a second core
-/// `Llc::new` degrades to the bit-identical in-order engine (same digest,
-/// no worker threads), so this scenario never pays for time-sliced
-/// workers.
+/// The slice-parallel 16-thread path: 16 cores on a 4-slice LLC, slice
+/// intervals on as many worker threads as the core budget grants — the
+/// machine the `eight_plus_core` scorecard tier measures. The tracked
+/// number for slice scaling past the paper's 4-core chip. On a one-core
+/// budget every interval runs inline (same digest, no worker threads).
 pub fn sliced_16t(events_per_thread: usize) -> HotpathResult {
-    sliced_with("sliced_16t", events_per_thread, 16, 4, true)
+    sliced_with("sliced_16t", events_per_thread, 16, 4, false)
 }
 
 /// The serial sliced reference: identical machine and workload to
@@ -534,14 +427,14 @@ pub fn sliced_16t(events_per_thread: usize) -> HotpathResult {
 /// bit-identical to `sliced_16t`; the throughput ratio between the two is
 /// the tracked slice-parallel speedup on this host.
 pub fn sliced_16t_serial(events_per_thread: usize) -> HotpathResult {
-    sliced_with("sliced_16t_serial", events_per_thread, 16, 4, false)
+    sliced_with("sliced_16t_serial", events_per_thread, 16, 4, true)
 }
 
 /// The widest configured topology: 64 cores on an 8-slice LLC,
 /// slice-parallel. Tracks that slice scaling holds at the top of the
 /// supported range (64 threads × 8 slices).
 pub fn sliced_64t(events_per_thread: usize) -> HotpathResult {
-    sliced_with("sliced_64t", events_per_thread, 64, 8, true)
+    sliced_with("sliced_64t", events_per_thread, 64, 8, false)
 }
 
 /// The sweep-path scenario: one interval-axis sensitivity sweep
@@ -661,10 +554,7 @@ pub const SCENARIOS: &[Scenario] = &[
     ("interleaved_4t", interleaved_4t),
     ("gen_only", gen_only),
     ("gen_packed", gen_packed),
-    ("pipeline_4t", pipeline_4t),
     ("pipeline_packed", pipeline_packed),
-    ("sharded_4t", sharded_4t),
-    ("sharded_packed_4t", sharded_packed_4t),
     ("sliced_16t", sliced_16t),
     ("sliced_16t_serial", sliced_16t_serial),
     ("sliced_64t", sliced_64t),
@@ -695,7 +585,7 @@ pub fn run_matching(events_per_thread: usize, filter: Option<&str>) -> Vec<Hotpa
         .collect()
 }
 
-/// Runs all sixteen scenarios at the given scale.
+/// Runs all thirteen scenarios at the given scale.
 pub fn run_all(events_per_thread: usize) -> Vec<HotpathResult> {
     run_matching(events_per_thread, None)
 }
@@ -754,54 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_digest_matches_inline() {
-        // The acceptance property of the pipelined path: moving generation
-        // onto producer threads changes nothing observable.
-        let inline = interleaved_4t(2_000);
-        let piped = pipeline_4t(2_000);
-        assert_eq!(piped.digest, inline.digest);
-        assert_eq!(piped.sim_cycles, inline.sim_cycles);
-        assert_eq!(piped.accesses, inline.accesses);
-        assert_eq!(piped.instructions, inline.instructions);
-    }
-
-    #[test]
-    fn sharded_digest_is_deterministic_and_feed_independent() {
-        // The two acceptance properties of the sharded scenarios: repeats
-        // agree, and inline-fed vs packed-replay-fed runs of the same
-        // decomposition are bit-identical.
-        let a = sharded_4t(2_000);
-        let b = sharded_4t(2_000);
-        assert_eq!(a.digest, b.digest);
-        assert_eq!(a.sim_cycles, b.sim_cycles);
-        assert_eq!(a.shards as usize, SHARDED_4T_SHARDS);
-        let packed = sharded_packed_4t(2_000);
-        assert_eq!(packed.digest, a.digest);
-        assert_eq!(packed.sim_cycles, a.sim_cycles);
-        assert_eq!(packed.accesses, a.accesses);
-        assert_eq!(packed.instructions, a.instructions);
-    }
-
-    #[test]
-    fn one_shard_matches_serial_interleaved() {
-        // k = 1 sharding is the legacy serial machine: same digest as the
-        // interleaved scenario, which runs the same workload and partition
-        // through the plain simulator.
-        let serial = interleaved_4t(2_000);
-        let one = sharded_packed_4t_with("sharded_packed_1", 2_000, 1);
-        assert_eq!(one.digest, serial.digest);
-        assert_eq!(one.sim_cycles, serial.sim_cycles);
-        assert_eq!(one.accesses, serial.accesses);
-        assert_eq!(one.instructions, serial.instructions);
-        let one_inline = sharded_4t_with("sharded_1", 2_000, 1);
-        assert_eq!(one_inline.digest, serial.digest);
-    }
-
-    #[test]
     fn run_matching_filters_by_substring() {
-        let sharded = run_matching(1_000, Some("sharded"));
-        let names: Vec<_> = sharded.iter().map(|r| r.name).collect();
-        assert_eq!(names, ["sharded_4t", "sharded_packed_4t"]);
+        let generated = run_matching(1_000, Some("gen_"));
+        let names: Vec<_> = generated.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["gen_only", "gen_packed"]);
         assert!(run_matching(1_000, Some("no-such-scenario")).is_empty());
         let sliced = run_matching(500, Some("sliced"));
         let names: Vec<_> = sliced.iter().map(|r| r.name).collect();

@@ -2,9 +2,9 @@
 //! nested parallelism.
 //!
 //! Every parallelism layer in the workspace — this outer (benchmark ×
-//! scheme) pool, the slice/shard workers inside each simulation, the
-//! pipeline producers inside each workload thread — leases its OS threads
-//! from one process-wide token pool ([`icp_cmp_sim::budget`], total =
+//! scheme) pool, the slice workers inside each sliced-LLC simulation, the
+//! producers that materialise each workload's traces — leases its OS
+//! threads from one process-wide token pool ([`icp_cmp_sim::budget`], total =
 //! `--jobs` / `ICP_CORES` / host cores). The outer pool here leases one
 //! token per worker and returns each token the moment that worker runs
 //! out of jobs, so the tail of a suite automatically widens the inner

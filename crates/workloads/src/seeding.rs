@@ -2,9 +2,9 @@
 //!
 //! Every access stream in a run must be (a) reproducible from one `u64`
 //! master seed and (b) statistically independent of every other stream —
-//! per-thread generation (including the pipelined producer threads of
-//! `icp_cmp_sim::PipelinedStream`) relies on thread `t`'s RNG never
-//! depending on when, or whether, thread `u`'s events are drawn.
+//! per-thread generation (including the parallel producer threads of
+//! `BenchmarkSpec::pack_streams_parallel`) relies on thread `t`'s RNG
+//! never depending on when, or whether, thread `u`'s events are drawn.
 //!
 //! The chain, fixed for all time because simulation digests pin it:
 //!
@@ -42,7 +42,7 @@ pub fn master_rng(seed: u64) -> Xoshiro256 {
 /// Derives the independent generator for one thread's stream.
 ///
 /// Stateless: any thread's RNG is derivable directly from `(seed,
-/// thread)`, which is what lets pipelined producers generate different
+/// thread)`, which is what lets parallel producers generate different
 /// threads' events concurrently with bit-identical results.
 pub fn thread_rng(seed: u64, thread: usize) -> Xoshiro256 {
     master_rng(seed).fork(thread as u64)

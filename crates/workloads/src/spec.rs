@@ -235,9 +235,8 @@ impl BenchmarkSpec {
     /// pattern: each returned trace can serve any number of zero-copy
     /// [`PackedTrace::stream`] replays (one per partitioning scheme), and
     /// the generation cost — the Zipf sampling dominating stream cost — is
-    /// paid exactly once. `max_events` bounds each thread's recording as
-    /// [`icp_cmp_sim::Trace::record`] would; pass `usize::MAX` for the full
-    /// run.
+    /// paid exactly once. `max_events` bounds each thread's recording (see
+    /// [`PackedTrace::record`]); pass `usize::MAX` for the full run.
     ///
     /// # Panics
     /// Same conditions as [`Self::build_streams`].

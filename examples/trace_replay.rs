@@ -14,8 +14,9 @@
 
 use icp::baselines::{SharedCachePolicy, StaticEqualPolicy};
 use icp::runtime::{IntraAppRuntime, ModelBasedPolicy, Partitioner};
-use icp::sim::trace::Trace;
-use icp::sim::{Simulator, SystemConfig};
+use std::sync::Arc;
+
+use icp::sim::{PackedTrace, Simulator, SystemConfig};
 use icp::workloads::{suite, SyntheticStream, WorkloadScale};
 
 fn main() {
@@ -23,20 +24,20 @@ fn main() {
     let bench = suite::cg();
 
     // 1. Record: drain each thread's synthetic stream into a trace.
-    let traces: Vec<Trace> = (0..4)
+    let traces: Vec<PackedTrace> = (0..4)
         .map(|t| {
             let mut s = SyntheticStream::new(&bench, &bench.threads[t], t, &cfg, WorkloadScale::Figure, 99);
-            Trace::record(&mut s, usize::MAX)
+            PackedTrace::record(&mut s, usize::MAX)
         })
         .collect();
     let bytes: usize = traces.iter().map(|t| t.to_bytes().len()).sum();
     println!("recorded {} events ({} KiB serialised) from {}",
-             traces.iter().map(Trace::len).sum::<usize>(), bytes / 1024, bench.name);
+             traces.iter().map(PackedTrace::len).sum::<usize>(), bytes / 1024, bench.name);
 
     // 2. Serialise + reload (as an external consumer would).
-    let reloaded: Vec<Trace> = traces
+    let reloaded: Vec<Arc<PackedTrace>> = traces
         .iter()
-        .map(|t| Trace::from_bytes(&t.to_bytes()).expect("roundtrip"))
+        .map(|t| Arc::new(PackedTrace::from_bytes(&t.to_bytes()).expect("roundtrip")))
         .collect();
 
     // 3. Replay under three schemes.
@@ -47,9 +48,10 @@ fn main() {
         ("model-based", Box::new(ModelBasedPolicy::new())),
     ];
     for (name, policy) in schemes {
+        // Zero-copy replays: every scheme shares the reloaded columns.
         let streams = reloaded
             .iter()
-            .map(|t| Box::new(t.clone().into_stream()) as Box<dyn icp::sim::stream::AccessStream>)
+            .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn icp::sim::stream::AccessStream>)
             .collect();
         let mut sim = Simulator::new(cfg, streams);
         let mut rt = IntraAppRuntime::new(policy, &cfg);

@@ -1,11 +1,11 @@
 //! Cross-crate determinism guarantees: a run is a pure function of
 //! (config, spec, scheme, seed).
 //!
-//! The matrix test at the bottom is the static analyzer's runtime
-//! counterpart: `icp-lint`'s D-rules prove the `#[deterministic]` closure
-//! avoids nondeterminism sources; this suite pins the digests those rules
-//! protect, across every delivery path a stream can take into the sharded
-//! engine.
+//! The matrix tests below are the static analyzer's runtime counterpart:
+//! `icp-lint`'s D-rules prove the `#[deterministic]` closure avoids
+//! nondeterminism sources; this suite pins the digests those rules
+//! protect, across every delivery path a stream can take into the sliced
+//! LLC and every core budget it can run under.
 
 use std::sync::Arc;
 
@@ -15,11 +15,10 @@ use icp::experiments::{ExperimentConfig, ResultCache, Scheme, TraceCache};
 use icp::sim::budget::{self, CoreBudget};
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
-use icp::sim::shard::ShardedSimulator;
 use icp::sim::slice::Llc;
 use icp::sim::stream::AccessStream;
-use icp::sim::{GlobalStats, PipelinedStream, SystemConfig};
-use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadScale};
+use icp::sim::{GlobalStats, Machine, Measurable, SystemConfig};
+use icp::workloads::{suite, WorkloadScale};
 
 fn all_schemes() -> Vec<Scheme> {
     vec![
@@ -109,99 +108,6 @@ fn digest(wall: u64, stats: &GlobalStats) -> u64 {
     h
 }
 
-fn run_sharded(mut sim: ShardedSimulator, cfg: &SystemConfig) -> (u64, GlobalStats) {
-    sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
-    while let Some(r) = sim.run_interval() {
-        if r.finished {
-            break;
-        }
-    }
-    (sim.wall_cycles(), sim.stats().clone())
-}
-
-fn pipelined_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
-    spec.threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth = SyntheticStream::new(spec, ts, t, cfg, WorkloadScale::Test, MATRIX_SEED);
-            // Small batch/depth so producer and consumer hand off often.
-            Box::new(PipelinedStream::spawn_with(synth, 64, 2)) as Box<dyn AccessStream>
-        })
-        .collect()
-}
-
-/// The digest matrix: shard counts {1, 3, 8} × stream delivery {inline
-/// generation, pipelined generation, trace-cache cold, trace-cache warm}
-/// × engine {parallel, serial reference}. Within one shard count every
-/// cell must produce the same digest bit for bit — the promise the
-/// `#[deterministic]` annotations (and icp-lint's D-rules) encode
-/// statically.
-#[test]
-fn shard_cache_pipeline_matrix_is_digest_identical() {
-    let cfg = SystemConfig::scaled_down();
-    let bench = suite::cg();
-    let cache = TraceCache::shared();
-    for k in [1usize, 3, 8] {
-        let variants: Vec<(&str, Vec<Box<dyn AccessStream>>)> = vec![
-            ("inline", bench.build_streams(&cfg, WorkloadScale::Test, MATRIX_SEED)),
-            ("pipelined", pipelined_streams(&bench, &cfg)),
-            // First call of the whole test generates (cold); every later
-            // call replays the cached packed columns (warm).
-            ("cache-cold", cache.replay_streams(&bench, &cfg, WorkloadScale::Test, MATRIX_SEED)),
-            ("cache-warm", cache.replay_streams(&bench, &cfg, WorkloadScale::Test, MATRIX_SEED)),
-        ];
-        let mut expected: Option<(u64, GlobalStats, u64)> = None;
-        for (label, streams) in variants {
-            let (wall, stats) = run_sharded(ShardedSimulator::new(cfg, streams, k), &cfg);
-            let d = digest(wall, &stats);
-            match &expected {
-                None => expected = Some((wall, stats, d)),
-                Some((w, s, e)) => {
-                    assert_eq!(wall, *w, "k={k} {label}: wall clock diverged");
-                    assert_eq!(&stats, s, "k={k} {label}: stats diverged");
-                    assert_eq!(d, *e, "k={k} {label}: digest diverged");
-                }
-            }
-        }
-        // The parallel engine against its single-threaded reference, fed
-        // from the (warm) cache like a real sweep.
-        let reference = ShardedSimulator::serial_reference(
-            cfg,
-            cache.replay_streams(&bench, &cfg, WorkloadScale::Test, MATRIX_SEED),
-            k,
-        );
-        let (wall, stats) = run_sharded(reference, &cfg);
-        let (w, s, e) = expected.expect("matrix ran");
-        assert_eq!(wall, w, "k={k}: serial reference wall diverged");
-        assert_eq!(stats, s, "k={k}: serial reference stats diverged");
-        assert_eq!(digest(wall, &stats), e, "k={k}: serial reference digest diverged");
-    }
-    assert_eq!(cache.generations(), 1, "one workload, generated exactly once");
-    assert_eq!(cache.hits(), 8, "every later matrix cell served warm");
-}
-
-/// Streams for the budget matrix: inline generation, or generation
-/// behind the budget-gated pipelined constructor ([`PipelinedStream::spawn`]
-/// leases a producer token and degrades to inline when the pool is dry).
-fn streams_for(
-    spec: &BenchmarkSpec,
-    cfg: &SystemConfig,
-    pipelined: bool,
-) -> Vec<Box<dyn AccessStream>> {
-    if !pipelined {
-        return spec.build_streams(cfg, WorkloadScale::Test, MATRIX_SEED);
-    }
-    spec.threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth = SyntheticStream::new(spec, ts, t, cfg, WorkloadScale::Test, MATRIX_SEED);
-            Box::new(PipelinedStream::spawn(synth)) as Box<dyn AccessStream>
-        })
-        .collect()
-}
-
 fn run_sliced(mut sim: Llc, cfg: &SystemConfig) -> (u64, GlobalStats) {
     sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
     while let Some(r) = sim.run_interval() {
@@ -212,58 +118,87 @@ fn run_sliced(mut sim: Llc, cfg: &SystemConfig) -> (u64, GlobalStats) {
     (sim.wall_cycles(), sim.stats().clone())
 }
 
+fn sliced_config(slices: u32) -> SystemConfig {
+    let mut cfg = SystemConfig::scaled_down();
+    cfg.llc = LlcConfig::sliced(slices);
+    cfg
+}
+
+/// The digest matrix: slice counts {1, 4, 8} × core budget {1, 8} ×
+/// stream delivery {inline generation, trace-cache cold, trace-cache
+/// warm}. Budget 1 runs every slice inline; budget 8 gives every slice a
+/// worker. Within one slice count every cell must produce the same digest
+/// bit for bit — the promise the `#[deterministic]` annotations (and
+/// icp-lint's D-rules) encode statically.
+#[test]
+fn slice_cache_budget_matrix_is_digest_identical() {
+    let bench = suite::cg();
+    // Generation is slice-blind, so every cell draws its streams from the
+    // monolithic config and one trace-cache key serves the whole matrix.
+    let base = SystemConfig::scaled_down();
+    let cache = TraceCache::shared();
+    let replay = || cache.replay_streams(&bench, &base, WorkloadScale::Test, MATRIX_SEED);
+    for n in [1u32, 4, 8] {
+        let cfg = sliced_config(n);
+        let mut expected: Option<(u64, GlobalStats, u64)> = None;
+        for total in [1usize, 8] {
+            let variants: Vec<(&str, Vec<Box<dyn AccessStream>>)> = vec![
+                ("inline", bench.build_streams(&base, WorkloadScale::Test, MATRIX_SEED)),
+                // The first call of the whole test generates (cold); every
+                // later call replays the cached packed columns (warm).
+                ("cache-cold", replay()),
+                ("cache-warm", replay()),
+            ];
+            for (label, streams) in variants {
+                let (wall, stats) = budget::scoped(CoreBudget::new(total), || {
+                    run_sliced(Llc::new(cfg, streams), &cfg)
+                });
+                let d = digest(wall, &stats);
+                match &expected {
+                    None => expected = Some((wall, stats, d)),
+                    Some((w, s, e)) => {
+                        assert_eq!(wall, *w, "N={n} budget={total} {label}: wall clock diverged");
+                        assert_eq!(&stats, s, "N={n} budget={total} {label}: stats diverged");
+                        assert_eq!(d, *e, "N={n} budget={total} {label}: digest diverged");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cache.generations(), 1, "one workload, generated exactly once");
+    assert_eq!(
+        cache.hits(),
+        11,
+        "3 slice counts x 2 budgets x 2 cache cells, all but the first served warm"
+    );
+}
+
 /// Core-budget arbitration must never change results — only where and
-/// when work executes. One workload digested across budget {1, 2, host}
-/// × stream delivery {inline, budget-gated pipelined} × engine
-/// {set-sharded (k = 3), sliced LLC (4 slices)}: within one engine every
-/// cell must match bit for bit. Topologies are pinned explicitly —
-/// the *sizing* helper (`ShardedSimulator::auto`) legitimately follows
-/// the budget, which would change the decomposition, not the guarantee.
+/// when work executes. One workload on a 4-slice LLC, digested under
+/// budgets {1, 2, 3, host}: inline, partial grants (3 workers split the
+/// 4 slices into uneven chunks) and one worker per slice must all match
+/// bit for bit.
 #[test]
 fn budget_invariance_matrix_is_digest_identical() {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let bench = suite::cg();
-    let sharded_cfg = SystemConfig::scaled_down();
-    let mut sliced_cfg = SystemConfig::scaled_down();
-    sliced_cfg.llc = LlcConfig::sliced(4);
-
-    // expected[0]: sharded engine, expected[1]: sliced engine.
-    let mut expected: [Option<(u64, GlobalStats, u64)>; 2] = [None, None];
-    for total in [1usize, 2, host] {
-        for pipelined in [false, true] {
-            let label = if pipelined { "pipelined" } else { "inline" };
-            let cells = budget::scoped(CoreBudget::new(total), || {
-                vec![
-                    (
-                        "sharded",
-                        run_sharded(
-                            ShardedSimulator::new(
-                                sharded_cfg,
-                                streams_for(&bench, &sharded_cfg, pipelined),
-                                3,
-                            ),
-                            &sharded_cfg,
-                        ),
-                    ),
-                    (
-                        "sliced",
-                        run_sliced(
-                            Llc::new(sliced_cfg, streams_for(&bench, &sliced_cfg, pipelined)),
-                            &sliced_cfg,
-                        ),
-                    ),
-                ]
-            });
-            for (i, (engine, (wall, stats))) in cells.into_iter().enumerate() {
-                let d = digest(wall, &stats);
-                match &expected[i] {
-                    None => expected[i] = Some((wall, stats, d)),
-                    Some((w, s, e)) => {
-                        assert_eq!(wall, *w, "budget={total} {label} {engine}: wall diverged");
-                        assert_eq!(&stats, s, "budget={total} {label} {engine}: stats diverged");
-                        assert_eq!(d, *e, "budget={total} {label} {engine}: digest diverged");
-                    }
-                }
+    let cfg = sliced_config(4);
+    let mut budgets = vec![1usize, 2, 3, host];
+    budgets.sort_unstable();
+    budgets.dedup();
+    let mut expected: Option<(u64, GlobalStats, u64)> = None;
+    for total in budgets {
+        let (wall, stats) = budget::scoped(CoreBudget::new(total), || {
+            let streams = bench.build_streams(&cfg, WorkloadScale::Test, MATRIX_SEED);
+            run_sliced(Llc::new(cfg, streams), &cfg)
+        });
+        let d = digest(wall, &stats);
+        match &expected {
+            None => expected = Some((wall, stats, d)),
+            Some((w, s, e)) => {
+                assert_eq!(wall, *w, "budget={total}: wall diverged");
+                assert_eq!(&stats, s, "budget={total}: stats diverged");
+                assert_eq!(d, *e, "budget={total}: digest diverged");
             }
         }
     }
@@ -271,18 +206,20 @@ fn budget_invariance_matrix_is_digest_identical() {
 
 /// The lease watermark bounds live workers: every spawned worker in the
 /// workspace holds a leased token, so even the deepest nesting we have —
-/// pipelined producers feeding a sharded engine — can never exceed the
-/// budget, and every token comes back once the run's leases drop.
+/// a scheme map whose jobs each run a sliced LLC with slice workers of
+/// their own — can never exceed the budget, and every token comes back
+/// once the run's leases drop.
 #[test]
 fn thread_peak_never_exceeds_budget() {
-    let cfg = SystemConfig::scaled_down();
+    let cfg = ExperimentConfig::test().with_topology(4, 4);
     let bench = suite::ft();
+    let schemes = [Scheme::Shared, Scheme::StaticEqual, Scheme::ModelBased];
     for total in [1usize, 2, 3] {
         let b = CoreBudget::new(total);
         budget::scoped(Arc::clone(&b), || {
-            let streams = streams_for(&bench, &cfg, true);
-            let (wall, _) = run_sharded(ShardedSimulator::new(cfg, streams, 4), &cfg);
-            assert!(wall > 0);
+            for out in cfg.run_schemes(&bench, &schemes) {
+                assert!(out.wall_cycles > 0);
+            }
         });
         assert!(
             b.peak_threads() <= total,

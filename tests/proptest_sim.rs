@@ -1,9 +1,11 @@
 //! Property-based tests of the simulator's timing and accounting
 //! invariants under arbitrary event streams.
 
-use icp::sim::shard::ShardedSimulator;
+use icp::sim::budget::{self, CoreBudget};
+use icp::sim::config::LlcConfig;
+use icp::sim::slice::Llc;
 use icp::sim::stream::{ReplayStream, ThreadEvent};
-use icp::sim::{CacheConfig, LatencyConfig, Simulator, SystemConfig};
+use icp::sim::{CacheConfig, LatencyConfig, Measurable, Simulator, SystemConfig};
 use proptest::prelude::*;
 
 fn cfg(interval: u64) -> SystemConfig {
@@ -148,52 +150,54 @@ proptest! {
         sim.l2().check_invariants();
     }
 
-    /// Set-sharded execution is equivalence-stable over shard-count ×
-    /// geometry: at any shard count and L2 shape, (a) worker-thread
-    /// execution is bit-identical to the serial reference of the same
-    /// decomposition, and (b) one shard is bit-identical to the plain
-    /// serial simulator.
+    /// Sliced execution is equivalence-stable over slice-count ×
+    /// geometry: at any slice count and L2 shape, (a) worker-thread
+    /// execution is bit-identical to the same machine under a one-core
+    /// budget, and (b) one slice is bit-identical to the plain serial
+    /// simulator.
     #[test]
-    fn shard_equivalence_over_count_and_geometry(
+    fn slice_equivalence_over_count_and_geometry(
         e0 in events_strategy(),
         e1 in events_strategy(),
-        shards in 1usize..6,
+        slices_log in 0u32..3,
         sets_log in 2u32..5,
         ways in 2u32..5,
     ) {
+        let slices = 1u32 << slices_log;
         let mut c = cfg(64);
         c.l2 = CacheConfig::new((1u64 << sets_log) * 64 * ways as u64, ways, 64);
-        let streams = || vec![
-            ReplayStream::new(e0.clone()),
-            ReplayStream::new(e1.clone()),
-        ];
-        let run = |mut sim: ShardedSimulator| {
-            while let Some(r) = sim.run_interval() {
+        c.llc = LlcConfig::sliced(slices);
+        let run = |cores: usize| {
+            budget::scoped(CoreBudget::new(cores), || {
+                let mut sim = Llc::new(c, vec![
+                    ReplayStream::new(e0.clone()),
+                    ReplayStream::new(e1.clone()),
+                ]);
+                while let Some(r) = sim.run_interval() {
+                    if r.finished {
+                        break;
+                    }
+                }
+                (sim.wall_cycles(), sim.stats().clone())
+            })
+        };
+        let parallel = run(slices as usize);
+        let reference = run(1);
+        prop_assert_eq!(&parallel, &reference);
+
+        if slices == 1 {
+            let mut serial = Simulator::from_streams(
+                c,
+                vec![ReplayStream::new(e0.clone()), ReplayStream::new(e1.clone())],
+            );
+            while let Some(r) = serial.run_interval() {
                 if r.finished {
                     break;
                 }
             }
-            (sim.wall_cycles(), sim.stats().clone())
-        };
-        let parallel = run(ShardedSimulator::new(c, streams(), shards));
-        let reference = run(ShardedSimulator::serial_reference(c, streams(), shards));
-        prop_assert_eq!(&parallel, &reference);
-
-        let mut serial = Simulator::new(
-            c,
-            vec![
-                Box::new(ReplayStream::new(e0.clone())) as Box<dyn icp::sim::stream::AccessStream>,
-                Box::new(ReplayStream::new(e1.clone())),
-            ],
-        );
-        while let Some(r) = serial.run_interval() {
-            if r.finished {
-                break;
-            }
+            prop_assert_eq!(parallel.0, serial.wall_cycles());
+            prop_assert_eq!(&parallel.1, serial.stats());
         }
-        let (one_wall, one_stats) = run(ShardedSimulator::new(c, streams(), 1));
-        prop_assert_eq!(one_wall, serial.wall_cycles());
-        prop_assert_eq!(&one_stats, serial.stats());
     }
 
     /// Higher MLP never makes an identical single-thread stream slower.

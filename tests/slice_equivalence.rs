@@ -1,27 +1,36 @@
 //! Sliced-LLC simulation must be deterministic and serial-equivalent —
 //! for every workload in the suite.
 //!
-//! The sliced machine (`icp::sim::slice::Llc`) makes the same two bitwise
-//! promises as the set-sharded engine it generalises, with the demux key
-//! changed from `set_index % k` to the address-hashed slice:
+//! The sliced machine (`icp::sim::slice::Llc`) makes two bitwise promises:
 //!
-//! 1. **One slice is the legacy serial simulator.** At N = 1 the slice
-//!    geometry is the whole L2 and the demux preserves the entire event
-//!    order, so every interval report, counter and the wall clock equal
-//!    the monolithic serial path bit for bit.
+//! 1. **One slice is the serial simulator.** At N = 1 the slice geometry
+//!    is the whole L2 and the demux preserves the entire event order, so
+//!    every interval report, counter and the wall clock equal the
+//!    monolithic serial path bit for bit.
 //! 2. **Worker threads change nothing.** At every N, slice-parallel
-//!    execution is bit-identical to the serial-reference engine advancing
-//!    the same N slices on one thread in slice order.
+//!    execution is bit-identical to the same machine under a one-core
+//!    budget, which advances the N slices on one thread in slice order.
 //!
 //! This suite pins both across every suite benchmark at N ∈ {1, 2, 4, 8},
-//! and sanity-checks the slice hash: no slice starves under the suite's
-//! Zipf-skewed address streams.
+//! including under mid-run repartitioning, and sanity-checks the slice
+//! hash: no slice starves under the suite's Zipf-skewed address streams.
+//!
+//! Each side of a parallel-vs-serial comparison runs under its own
+//! `budget::scoped` core budget. The process-wide budget is shared by
+//! every test running concurrently in this binary, and on a one-core host
+//! it grants no workers at all, which would compare the serial walk with
+//! itself.
 
+use std::sync::Arc;
+
+use icp::sim::budget::{self, CoreBudget};
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
 use icp::sim::slice::{Llc, SliceTopology};
 use icp::sim::stream::AccessStream;
-use icp::sim::{GlobalStats, IntervalReport, Simulator, SystemConfig, ThreadEvent};
+use icp::sim::{
+    GlobalStats, IntervalReport, Machine, Measurable, Simulator, SystemConfig, ThreadEvent,
+};
 use icp::workloads::{suite, BenchmarkSpec, WorkloadScale};
 
 const SEED: u64 = 0x5EED_0009;
@@ -92,26 +101,68 @@ fn one_slice_identical_to_serial_across_suite() {
     }
 }
 
-/// Slice-parallel execution is bit-identical to the serial reference of
-/// the same decomposition at N ∈ {1, 2, 4, 8}, for every suite workload.
+/// Runs `f` under a private core budget of `cores` and returns its result
+/// with the peak number of live threads the budget saw.
+fn under_budget<R>(cores: usize, f: impl FnOnce() -> R) -> (R, usize) {
+    let b = CoreBudget::new(cores);
+    let out = budget::scoped(Arc::clone(&b), f);
+    (out, b.peak_threads())
+}
+
+/// Slice-parallel execution (one worker per slice) is bit-identical to
+/// the one-core-budget serial reference at N ∈ {1, 2, 4, 8}, for every
+/// suite workload.
 #[test]
 fn parallel_identical_to_serial_reference_across_suite() {
     for spec in suite::all() {
         for n in SLICE_COUNTS {
             let cfg = sliced_config(n);
-            // Forced-parallel mode: `Llc::new` would degrade to the serial
-            // engine on a single-core host, voiding the comparison.
-            let mut parallel = Llc::with_mode(cfg, inline_streams(&spec, &cfg), true);
-            parallel.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
-            assert!(parallel.is_parallel());
-            let a = run_sliced(parallel);
-
-            let mut reference = Llc::serial_reference(cfg, inline_streams(&spec, &cfg));
-            reference.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
-            assert!(!reference.is_parallel());
-            let b = run_sliced(reference);
-
+            let run = || {
+                let mut sim = Llc::new(cfg, inline_streams(&spec, &cfg));
+                sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
+                run_sliced(sim)
+            };
+            let (a, peak) = under_budget(n as usize, run);
+            assert_eq!(peak, n as usize, "{} N={n}: slices did not all get a worker", spec.name);
+            let (b, _) = under_budget(1, run);
             assert_eq!(a, b, "{} N={n}: parallel != serial reference", spec.name);
+        }
+    }
+}
+
+/// Dynamic repartitioning drives both execution modes identically:
+/// flipping the partition at every boundary (the runtime's usage shape)
+/// stays bit-identical between slice-parallel and one-core-budget
+/// execution.
+#[test]
+fn repartitioning_identical_between_engines() {
+    for spec in suite::all().into_iter().take(3) {
+        for n in [2u32, 4] {
+            let cfg = sliced_config(n);
+            let drive = || -> (u64, GlobalStats) {
+                let mut sim = Llc::new(cfg, inline_streams(&spec, &cfg));
+                let ways = cfg.l2.ways;
+                let mut i = 0u32;
+                while let Some(r) = sim.run_interval() {
+                    if r.finished {
+                        break;
+                    }
+                    let skew = 1 + (i % (ways / 2));
+                    let rest = ways - skew;
+                    let others = cfg.cores as u32 - 1;
+                    let mut quotas = vec![rest / others; cfg.cores];
+                    quotas[0] = skew;
+                    for q in quotas.iter_mut().skip(1).take((rest % others) as usize) {
+                        *q += 1;
+                    }
+                    sim.set_partition(&quotas);
+                    i += 1;
+                }
+                (sim.wall_cycles(), sim.stats().clone())
+            };
+            let (a, _) = under_budget(n as usize, drive);
+            let (b, _) = under_budget(1, drive);
+            assert_eq!(a, b, "{} N={n}", spec.name);
         }
     }
 }

@@ -1,25 +1,20 @@
-//! Pipelined generation and packed-trace replay must be bit-identical to
+//! Packed-trace replay and columnar generation must be bit-identical to
 //! inline generation — for every workload in the suite.
 //!
-//! Two transformations move work off the simulator's critical path:
-//!
-//! * [`PipelinedStream`] generates a thread's events on a dedicated
-//!   producer thread (pipeline parallelism);
-//! * [`PackedTrace`] materialises a workload once into struct-of-arrays
-//!   columns replayed zero-copy per scheme (the experiment trace cache).
-//!
-//! Neither may change a single simulated outcome. Both rest on the same
-//! foundation — per-thread RNG forked independently from the master seed
-//! (`icp::workloads::seeding`), so *when* events are produced never affects
-//! *which* events — and this suite pins that end to end: every suite
-//! benchmark is simulated through each path and the full `GlobalStats`
-//! (every counter of every thread) plus the wall clock must match inline
-//! generation exactly.
+//! [`PackedTrace`] materialises a workload once into struct-of-arrays
+//! columns replayed zero-copy per scheme (the experiment trace cache), and
+//! may be filled by per-thread producer threads. Neither may change a
+//! single simulated outcome. Both rest on per-thread RNG forked
+//! independently from the master seed (`icp::workloads::seeding`), so
+//! *when* events are produced never affects *which* events — and this
+//! suite pins that end to end: every suite benchmark is simulated through
+//! each path and the full `GlobalStats` (every counter of every thread)
+//! plus the wall clock must match inline generation exactly.
 
 use icp::experiments::{ExperimentConfig, Scheme, TraceCache};
 use icp::sim::l2::equal_split;
 use icp::sim::stream::{AccessStream, ThreadEvent};
-use icp::sim::{GlobalStats, PackedBlock, PackedTrace, PipelinedStream, Simulator, SystemConfig};
+use icp::sim::{GlobalStats, PackedBlock, PackedTrace, Simulator, SystemConfig};
 use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadScale};
 
 const SEED: u64 = 0x5EED_0004;
@@ -40,37 +35,11 @@ fn inline_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn Acces
     spec.build_streams(cfg, WorkloadScale::Test, SEED)
 }
 
-fn pipelined_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
-    spec.threads
-        .iter()
-        .enumerate()
-        .map(|(t, ts)| {
-            let synth = SyntheticStream::new(spec, ts, t, cfg, WorkloadScale::Test, SEED);
-            // Deliberately small batches/depth so producer/consumer swap
-            // often — the stressier configuration for ordering bugs.
-            Box::new(PipelinedStream::spawn_with(synth, 64, 2)) as Box<dyn AccessStream>
-        })
-        .collect()
-}
-
 fn packed_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
     spec.pack_streams(cfg, WorkloadScale::Test, SEED, usize::MAX)
         .iter()
         .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
         .collect()
-}
-
-/// Pipeline parallelism: simulations over producer-thread generation are
-/// bit-identical to inline generation, for every suite workload.
-#[test]
-fn pipelined_generation_identical_across_suite() {
-    let cfg = SystemConfig::scaled_down();
-    for spec in suite::all() {
-        let (wall_a, stats_a) = simulate(cfg, inline_streams(&spec, &cfg));
-        let (wall_b, stats_b) = simulate(cfg, pipelined_streams(&spec, &cfg));
-        assert_eq!(wall_a, wall_b, "{}: wall clock diverged", spec.name);
-        assert_eq!(stats_a, stats_b, "{}: stats diverged", spec.name);
-    }
 }
 
 /// Packed replay: simulations over record-once packed traces are
