@@ -15,9 +15,9 @@
 //!   `BTreeSet` or collect-and-sort.
 //! * **D2 `det_ambient`** — no ambient nondeterminism in the closure:
 //!   `Instant::`/`SystemTime` clocks, `thread::current` identity,
-//!   `available_parallelism` host sizing. Timing/host-sizing functions
-//!   (`perf.rs` wall-clock, the core budget's host-parallelism fallback)
-//!   carry reviewed waivers.
+//!   `available_parallelism` host sizing. The one host-sizing function
+//!   (the core budget's host-parallelism fallback) carries a reviewed
+//!   waiver.
 //! * **D3 `det_float_order`** — no float reduction (`.sum()`, `.product()`,
 //!   `.fold()`, `.reduce()` with `f32`/`f64` in the same statement) in the
 //!   closure unless an `// ORDER:` comment states why the iteration order

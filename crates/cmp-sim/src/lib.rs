@@ -33,7 +33,7 @@ pub mod cache;
 pub mod config;
 pub mod l2;
 pub mod packed;
-pub mod perf;
+pub mod machine;
 pub mod plru;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
@@ -48,7 +48,7 @@ pub use budget::{CoreBudget, Lease};
 pub use config::{CacheConfig, L2Geometry, LatencyConfig, LlcConfig, SystemConfig};
 pub use l2::{EnforcementKind, PartitionMode, PartitionedL2, ReplacementKind};
 pub use packed::{PackedBlock, PackedReplayStream, PackedTrace, TraceError};
-pub use perf::{Machine, Measurable, PerfReport};
+pub use machine::{Machine, Measurable};
 pub use simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 pub use slice::{Llc, SliceTopology};
 pub use stats::{GlobalStats, InteractionStats, ThreadCounters};

@@ -78,7 +78,7 @@ use icp_hot_path::deterministic;
 use crate::config::{CacheConfig, LlcConfig, SystemConfig};
 use crate::l2::{EnforcementKind, ReplacementKind};
 use crate::packed::{PackedBlock, PackedReplayStream, PackedTrace};
-use crate::perf::{Machine, Measurable};
+use crate::machine::{Machine, Measurable};
 use crate::simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 use crate::stats::{GlobalStats, ThreadCounters};
 use crate::stream::{AccessStream, ThreadEvent};

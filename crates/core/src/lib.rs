@@ -41,4 +41,4 @@ pub use lookahead::lookahead_allocate;
 pub use model::{ModelKind, ThreadCpiModel};
 pub use model_based::ModelBasedPolicy;
 pub use policy::{proportional_allocation, PartitionDecision, Partitioner};
-pub use runtime::{ExecutionOutcome, IntervalRecord, IntraAppRuntime};
+pub use runtime::{apply, ExecutionOutcome, IntervalRecord, IntraAppRuntime};

@@ -198,7 +198,7 @@ impl<P: Partitioner> IntraAppRuntime<P> {
 
 /// Applies a policy decision to the simulated L2 (the "configuration
 /// unit" of Figure 17).
-fn apply<M: Machine>(sim: &mut M, decision: PartitionDecision) {
+pub fn apply<M: Machine>(sim: &mut M, decision: PartitionDecision) {
     match decision {
         PartitionDecision::Keep => {}
         PartitionDecision::Partition(ways) => sim.set_partition(&ways),

@@ -17,10 +17,7 @@
 //!                              # core-budget scheduler, with utilization and
 //!                              # peak-thread stats; --assert-warm fails unless
 //!                              # the warm pass simulated nothing
-//! repro sched-bench [--min-speedup X] [--repeats N]
-//!                              # scheduled vs flat-pool suite pass at an 8x8
-//!                              # topology: asserts bit-identical digests and
-//!                              # (optionally) a cold wall-clock speedup floor
+//! repro ablations              # the design-choice ablation tables
 //!
 //! options (apply to any command):
 //!   --seed N        master seed (default: fixed)
@@ -31,6 +28,8 @@
 //!                   producers — is leased from this pool; results are
 //!                   bit-identical at every value
 //! ```
+//!
+//! A missing or unknown command prints the usage and exits with status 2.
 
 use std::fs;
 use std::path::Path;
@@ -52,6 +51,47 @@ fn emit(out_dir: Option<&Path>, id: &str, table: &Table) {
             icp_experiments::json::table_to_json(table).to_string(),
         );
     }
+}
+
+/// Figure commands: any combination runs in one pass, `all` runs every one.
+const FIGURES: [&str; 16] = [
+    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig15",
+    "fig18", "fig19", "fig20", "fig21", "fig22",
+];
+
+/// Every other command, with its operands and flags.
+const COMMANDS: [(&str, &str); 16] = [
+    ("all", ""),
+    ("scorecard", ""),
+    ("eight-plus", ""),
+    ("calibrate", ""),
+    ("describe", ""),
+    ("report", ""),
+    ("robustness", ""),
+    ("slack", ""),
+    ("mechanism", ""),
+    ("overhead", ""),
+    ("ablations", ""),
+    ("occupancy", " [bench]"),
+    ("dump", " <bench> <scheme> [cores]"),
+    (
+        "sweeps",
+        " [--fast|--exact] [--axis NAME] [--cache DIR] [--assert-warm]",
+    ),
+    ("prediction", " [--max-mean-error PCT]"),
+    ("suite", " [--assert-warm]"),
+];
+
+/// Prints `msg` and the usage, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: repro <command> [options]");
+    eprintln!("  {} (any combination)", FIGURES.join(" "));
+    for (name, operands) in COMMANDS {
+        eprintln!("  {name}{operands}");
+    }
+    eprintln!("options: --seed N  --cores N  --scale test|figure|paper  --jobs N");
+    std::process::exit(2);
 }
 
 /// Pulls `--flag value` out of the argument list, returning the remainder.
@@ -109,12 +149,23 @@ fn main() {
     cfg.system.interval_instructions =
         ((per_thread * cfg.system.cores as f64) / 50.0).max(1_000.0) as u64;
 
+    // Every word left must be a command, a command's flag, a flag's value
+    // or one of `dump`'s or `occupancy`'s operands.
     if args.is_empty() {
-        eprintln!(
-            "usage: repro [all|scorecard|eight-plus|calibrate|suite|sched-bench|fig2|fig3|...|fig22|dump <bench> <scheme> [cores]]\n\
-             options: --seed N  --cores N  --scale test|figure|paper  --jobs N"
-        );
-        return;
+        usage_error("no command given");
+    }
+    let mut words = args.iter().map(String::as_str);
+    while let Some(word) = words.next() {
+        let skip = match word {
+            "--axis" | "--cache" | "--max-mean-error" | "occupancy" => 1,
+            "dump" => 3,
+            _ if word.starts_with("--") => 0,
+            _ if FIGURES.contains(&word) || COMMANDS.iter().any(|(name, _)| *name == word) => 0,
+            _ => usage_error(&format!("unknown command `{word}`")),
+        };
+        for _ in 0..skip {
+            words.next();
+        }
     }
 
     if let Some(pos) = args.iter().position(|a| a == "dump") {
@@ -318,72 +369,11 @@ fn main() {
         return;
     }
 
-    if args.iter().any(|a| a == "sched-bench") {
-        let min_speedup = take_option(&mut args, "--min-speedup").map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("--min-speedup expects a number");
-                std::process::exit(2);
-            })
-        });
-        let repeats: usize = take_option(&mut args, "--repeats")
-            .map(|v| {
-                v.parse().ok().filter(|&n: &usize| n > 0).unwrap_or_else(|| {
-                    eprintln!("--repeats expects a positive integer");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(2);
-        // The inner-parallelism stress topology: 8 cores × 8 LLC slices, so
-        // every cell of the 9 × 4 suite matrix wants slice workers and
-        // trace producers of its own. The flat baseline gives each cell a
-        // private full-size budget (the pre-arbiter oversubscription); the
-        // scheduled pass arbitrates everything against one pool.
-        let mut bcfg = cfg.with_topology(8, 8);
-        let per_thread = 12_000.0 * 10.0 * bcfg.scale.factor();
-        bcfg.system.interval_instructions =
-            ((per_thread * bcfg.system.cores as f64) / 50.0).max(1_000.0) as u64;
-        let budget = icp_experiments::sched::budget::current();
-        eprintln!(
-            "[repro] sched-bench: flat pool vs core-budget scheduler, budget {}, best of {repeats} ...",
-            budget.total()
-        );
-        let mut flat_best = f64::INFINITY;
-        let mut sched_best = f64::INFINITY;
-        let mut digests: Vec<u64> = Vec::new();
-        for round in 0..repeats {
-            // Cold passes: every round gets fresh trace/result caches.
-            let t0 = std::time::Instant::now();
-            let flat_data = SuiteData::collect_flat(&bcfg);
-            let flat_secs = t0.elapsed().as_secs_f64();
-            flat_best = flat_best.min(flat_secs);
-            let (sched_data, stats) = SuiteData::collect_with_stats(&bcfg);
-            sched_best = sched_best.min(stats.elapsed_secs);
-            eprintln!(
-                "[repro]   round {}: flat {:.3}s, scheduled {:.3}s (peak {} threads, {:.0}% utilization)",
-                round + 1,
-                flat_secs,
-                stats.elapsed_secs,
-                stats.peak_threads,
-                stats.utilization * 100.0
-            );
-            digests.push(flat_data.digest());
-            digests.push(sched_data.digest());
-        }
-        if digests.windows(2).any(|w| w[0] != w[1]) {
-            eprintln!("[repro] sched-bench failed: digests differ across passes {digests:016x?}");
-            std::process::exit(1);
-        }
-        let speedup = flat_best / sched_best;
-        eprintln!(
-            "[repro] digest {:016x} across all passes; cold speedup {speedup:.2}x (flat {flat_best:.3}s / scheduled {sched_best:.3}s)",
-            digests[0]
-        );
-        if let Some(floor) = min_speedup {
-            if speedup < floor {
-                eprintln!("[repro] sched-bench gate failed: speedup {speedup:.2}x < {floor}x");
-                std::process::exit(1);
-            }
-            eprintln!("[repro] sched-bench gate passed: speedup {speedup:.2}x >= {floor}x");
+    if args.iter().any(|a| a == "ablations") {
+        eprintln!("[repro] running the ablations ...");
+        let _ = fs::create_dir_all("results");
+        for (id, table) in figures::ablation_tables(&cfg) {
+            emit(Some(Path::new("results")), id, &table);
         }
         return;
     }

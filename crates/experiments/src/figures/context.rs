@@ -45,17 +45,6 @@ impl SuiteData {
         (Self::demux(benches, outs), stats)
     }
 
-    /// [`Self::collect`] through the pre-arbiter flat pool
-    /// ([`sched::flat_map_unarbitrated`]) — the `sched-bench` baseline.
-    /// Results are bit-identical to [`Self::collect`]; only wall-clock
-    /// and thread behaviour differ.
-    pub fn collect_flat(cfg: &ExperimentConfig) -> SuiteData {
-        let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-        let benches = suite::all();
-        let outs = sched::flat_map_unarbitrated(Self::cells(cfg, &benches), Cell::run);
-        Self::demux(benches, outs)
-    }
-
     /// The four principal schemes, in figure (and demux) order.
     const SCHEMES: [Scheme; 4] = [
         Scheme::Shared,

@@ -4,6 +4,7 @@
 //! See `DESIGN.md` for the experiment index mapping figures to modules, and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
+pub mod ablations;
 pub mod calibrate;
 pub mod comparisons;
 pub mod config_table;
@@ -19,6 +20,7 @@ pub mod sensitivity;
 pub mod slack;
 pub mod timeseries;
 
+pub use ablations::ablation_tables;
 pub use calibrate::{calibration_report, calibration_report_from};
 pub use comparisons::{
     fig11_progress_illustration, fig19_vs_private, fig20_vs_shared, fig21_vs_throughput,

@@ -8,6 +8,7 @@
 //! partition.
 
 use icp_cmp_sim::Simulator;
+use icp_core::apply;
 use icp_core::policy::Partitioner;
 use icp_workloads::suite;
 
@@ -35,12 +36,7 @@ pub fn occupancy_series(
     let threads = cfg.system.cores;
     let total_ways = cfg.system.l2.ways;
     // Drive the interval loop by hand so we can snapshot occupancy.
-    match policy.initial(threads, total_ways) {
-        icp_core::PartitionDecision::Partition(w) => sim.set_partition(&w),
-        icp_core::PartitionDecision::SetPartition(w) => sim.set_set_partition(&w),
-        icp_core::PartitionDecision::Unpartitioned => sim.set_unpartitioned(),
-        icp_core::PartitionDecision::Keep => {}
-    }
+    apply(&mut sim, policy.initial(threads, total_ways));
     let sets = cfg.system.l2.num_sets() as f64;
     let mut series = vec![Vec::new(); threads];
     while let Some(report) = sim.run_interval() {
@@ -50,12 +46,7 @@ pub fn occupancy_series(
         if report.finished {
             break;
         }
-        match policy.repartition(&report, total_ways) {
-            icp_core::PartitionDecision::Partition(w) => sim.set_partition(&w),
-            icp_core::PartitionDecision::SetPartition(w) => sim.set_set_partition(&w),
-            icp_core::PartitionDecision::Unpartitioned => sim.set_unpartitioned(),
-            icp_core::PartitionDecision::Keep => {}
-        }
+        apply(&mut sim, policy.repartition(&report, total_ways));
     }
     series
 }

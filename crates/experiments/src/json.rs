@@ -7,8 +7,6 @@
 
 use std::fmt::Write as _;
 
-use icp_core::{ExecutionOutcome, IntervalRecord};
-
 use crate::table::Table;
 
 /// A JSON value.
@@ -277,62 +275,6 @@ impl Json {
     }
 }
 
-/// Converts one interval record.
-fn interval_to_json(r: &IntervalRecord) -> Json {
-    Json::obj(vec![
-        ("index", Json::u64(r.index as u64)),
-        ("ways", Json::Arr(r.ways.iter().map(|w| Json::u64(*w as u64)).collect())),
-        ("cpi", Json::Arr(r.cpi.iter().map(|c| Json::Num(*c)).collect())),
-        (
-            "l2_misses",
-            Json::Arr(r.l2_misses.iter().map(|m| Json::u64(*m)).collect()),
-        ),
-        (
-            "instructions",
-            Json::Arr(r.instructions.iter().map(|i| Json::u64(*i)).collect()),
-        ),
-        ("overall_cpi", Json::Num(r.overall_cpi)),
-        ("wall_cycles", Json::u64(r.wall_cycles)),
-    ])
-}
-
-/// Converts a full execution outcome (scheme, wall cycles, per-thread
-/// totals, per-interval log) to JSON.
-pub fn outcome_to_json(out: &ExecutionOutcome) -> Json {
-    let totals: Vec<Json> = out
-        .thread_totals
-        .iter()
-        .map(|c| {
-            Json::obj(vec![
-                ("instructions", Json::u64(c.instructions)),
-                ("active_cycles", Json::u64(c.active_cycles)),
-                ("barrier_stall_cycles", Json::u64(c.barrier_stall_cycles)),
-                ("l1_hits", Json::u64(c.l1_hits)),
-                ("l1_misses", Json::u64(c.l1_misses)),
-                ("l2_hits", Json::u64(c.l2_hits)),
-                ("l2_misses", Json::u64(c.l2_misses)),
-                ("l1_writebacks", Json::u64(c.l1_writebacks)),
-                ("l2_writebacks", Json::u64(c.l2_writebacks)),
-                ("cpi", Json::Num(c.cpi())),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("scheme", Json::str(out.scheme)),
-        ("wall_cycles", Json::u64(out.wall_cycles)),
-        ("intervals", Json::u64(out.intervals() as u64)),
-        (
-            "inter_thread_fraction",
-            Json::Num(out.interactions.inter_thread_fraction()),
-        ),
-        ("thread_totals", Json::Arr(totals)),
-        (
-            "records",
-            Json::Arr(out.records.iter().map(interval_to_json).collect()),
-        ),
-    ])
-}
-
 /// Converts a rendered table (headers + rows) to a JSON array of objects.
 pub fn table_to_json(table: &Table) -> Json {
     let csv = table.to_csv();
@@ -394,23 +336,6 @@ mod tests {
     #[should_panic(expected = "cannot represent")]
     fn rejects_nan() {
         Json::Num(f64::NAN).to_string();
-    }
-
-    #[test]
-    fn outcome_roundtrip_shape() {
-        let cfg = crate::runner::ExperimentConfig::test();
-        let out = cfg.run(&icp_workloads::suite::ft(), &crate::Scheme::Shared);
-        let j = outcome_to_json(&out).to_string();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"scheme\":\"shared\""));
-        assert!(j.contains("\"records\":["));
-        assert!(j.contains("\"l2_misses\""));
-        // Valid-ish: balanced braces/brackets.
-        let balance = |open: char, close: char| {
-            j.chars().filter(|&c| c == open).count() == j.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 pub mod chart;
 pub mod figures;
-pub mod hotpath;
 pub mod json;
 pub mod miss_model;
 pub mod result_cache;

@@ -43,9 +43,8 @@ use crate::single_flight::SingleFlight;
 /// changes so stale files invalidate themselves.
 const SCHEMA: &str = "icp-result-cache/v1";
 
-/// Aggregate counters over every cached outcome, folded in key order.
-/// The bench harness uses these to report sweep-matrix scale and a
-/// machine-independent behavioural digest.
+/// Aggregate counters over every cached outcome, folded in key order: the
+/// scale of a cached matrix plus a machine-independent behavioural digest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheTotals {
     /// Demand accesses (L1 hits + misses) across all cached runs.
@@ -54,8 +53,9 @@ pub struct CacheTotals {
     pub instructions: u64,
     /// Simulated wall cycles summed over cached runs.
     pub sim_cycles: u64,
-    /// Order-fixed fold of per-run digests (same shape as the hotpath
-    /// scenario digests).
+    /// Order-fixed fold of per-run digests: each run folds its wall cycles
+    /// with every thread's active cycles and L2 hits and misses (the fold
+    /// `SuiteData::digest` uses too).
     pub digest: u64,
 }
 
@@ -146,12 +146,6 @@ impl ResultCache {
     /// Number of simulations executed (cache misses).
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
-    }
-
-    /// Alias for [`ResultCache::simulations`], mirroring
-    /// [`crate::trace_cache::TraceCache::generations`].
-    pub fn generations(&self) -> u64 {
-        self.simulations()
     }
 
     /// Number of runs served from cache (memory or disk).
@@ -290,8 +284,7 @@ fn get_u64(j: &Json, key: &str) -> Option<u64> {
     as_u64(j.get(key)?)
 }
 
-/// Complete, lossless serialisation of an outcome (unlike
-/// [`crate::json::outcome_to_json`], which exports a reporting subset).
+/// Complete, lossless serialisation of an outcome.
 fn outcome_to_json(out: &ExecutionOutcome) -> Json {
     let totals: Vec<Json> = out.thread_totals.iter().map(counters_to_json).collect();
     let records: Vec<Json> = out.records.iter().map(record_to_json).collect();
@@ -565,6 +558,7 @@ mod tests {
             crate::figures::fig21_vs_throughput(&warm).render(),
         ];
         assert_eq!(cold_tables, warm_tables);
+        assert_eq!(warm.digest(), cold.digest());
     }
 
     #[test]

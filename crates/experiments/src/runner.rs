@@ -5,7 +5,7 @@ use icp_baselines::{
     FairnessOrientedPolicy, ModelThroughputPolicy, SharedCachePolicy, StaticEqualPolicy,
     StaticPolicy, UcpThroughputPolicy,
 };
-use icp_cmp_sim::{Llc, Machine, Simulator, SystemConfig};
+use icp_cmp_sim::{AccessStream, Llc, Machine, Simulator, SystemConfig};
 use icp_core::policy::Partitioner;
 use icp_core::{
     CpiProportionalPolicy, ExecutionOutcome, HierarchicalPolicy, IntraAppRuntime,
@@ -226,7 +226,7 @@ impl ExperimentConfig {
     }
 
     /// Resolves `bench` to the configured core count.
-    fn normalized(&self, bench: &BenchmarkSpec) -> BenchmarkSpec {
+    pub(crate) fn normalized(&self, bench: &BenchmarkSpec) -> BenchmarkSpec {
         if bench.threads.len() == self.system.cores {
             bench.clone()
         } else {
@@ -251,14 +251,21 @@ impl ExperimentConfig {
     /// (`system.llc.slices > 1`) run the slice-parallel [`Llc`] machine —
     /// same runtime loop either way, via the [`Machine`] trait.
     fn simulate(&self, spec: &BenchmarkSpec, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
-        let streams = match &self.trace_cache {
-            Some(cache) => cache.replay_streams(spec, &self.system, self.scale, self.seed),
-            None => spec.build_streams(&self.system, self.scale, self.seed),
-        };
+        let streams = self.streams(spec);
         if self.system.llc.slices > 1 {
             self.drive(&mut Llc::new(self.system, streams), scheme, profile)
         } else {
             self.drive(&mut Simulator::new(self.system, streams), scheme, profile)
+        }
+    }
+
+    /// The event streams of `spec` (already normalised): replayed from the
+    /// trace cache when one is attached, generated inline otherwise —
+    /// bit-identical either way.
+    pub(crate) fn streams(&self, spec: &BenchmarkSpec) -> Vec<Box<dyn AccessStream>> {
+        match &self.trace_cache {
+            Some(cache) => cache.replay_streams(spec, &self.system, self.scale, self.seed),
+            None => spec.build_streams(&self.system, self.scale, self.seed),
         }
     }
 
@@ -317,16 +324,6 @@ impl ExperimentConfig {
     /// preserving order.
     pub fn run_schemes(&self, bench: &BenchmarkSpec, schemes: &[Scheme]) -> Vec<ExecutionOutcome> {
         crate::sched::parallel_map(schemes.to_vec(), |s| self.run(bench, s))
-    }
-
-    /// Runs the full suite under one scheme on budget-leased workers in
-    /// longest-first cost order, preserving output order.
-    pub fn run_suite(&self, benches: &[BenchmarkSpec], scheme: &Scheme) -> Vec<ExecutionOutcome> {
-        crate::sched::weighted_map(
-            benches.to_vec(),
-            |b| crate::sched::job_cost(b, self),
-            |b| self.run(b, scheme),
-        )
     }
 }
 

@@ -39,8 +39,8 @@ use icp_cmp_sim::budget::Lease;
 
 use crate::runner::{ExperimentConfig, Scheme};
 
-/// What a scheduled pass actually used: observability for the bench
-/// harness and the thread-ceiling regression tests.
+/// What a scheduled pass actually used: observability for `repro suite`,
+/// the repository benchmark and the thread-ceiling regression tests.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedStats {
     /// Jobs executed.
@@ -58,7 +58,7 @@ pub struct SchedStats {
 
 /// Runs `f` over every element of `inputs` on budget-leased workers,
 /// returning outputs in input order. Jobs are claimed in submission order
-/// (uniform cost) — use [`weighted_map`] when per-job costs differ.
+/// (uniform cost) — use [`weighted_map_stats`] when per-job costs differ.
 ///
 /// `f` must be deterministic per input for reproducibility (the
 /// experiment runner's jobs are).
@@ -68,23 +68,13 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    weighted_map(inputs, |_| 1, f)
+    weighted_map_stats(inputs, |_| 1, f).0
 }
 
-/// [`parallel_map`] with longest-processing-time-first claim order:
-/// `cost` estimates each job's relative duration (any monotone unit) and
-/// workers claim expensive jobs first. Output order is input order
-/// regardless.
-pub fn weighted_map<I, O, F>(inputs: Vec<I>, cost: impl Fn(&I) -> u64, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    weighted_map_stats(inputs, cost, f).0
-}
-
-/// [`weighted_map`] returning [`SchedStats`] alongside the outputs.
+/// [`parallel_map`] with longest-processing-time-first claim order,
+/// returning [`SchedStats`] alongside the outputs: `cost` estimates each
+/// job's relative duration (any monotone unit) and workers claim
+/// expensive jobs first. Output order is input order regardless.
 pub fn weighted_map_stats<I, O, F>(
     inputs: Vec<I>,
     cost: impl Fn(&I) -> u64,
@@ -143,37 +133,6 @@ where
         elapsed_secs: elapsed,
     };
     (outs, stats)
-}
-
-/// The pre-arbiter baseline, kept callable for the `sched-bench` speedup
-/// gate: a flat pool sized straight from the budget *total* (not from
-/// leases), with every job run under a fresh private budget of the same
-/// total — so each inner engine sizes itself as if it owned the whole
-/// machine, reproducing the M outer × N inner oversubscription this
-/// module exists to fix. At total = 1 this degrades to the same serial
-/// execution as [`parallel_map`], which is what makes it a fair baseline.
-pub fn flat_map_unarbitrated<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total = budget::current().total();
-    let order: Vec<usize> = (0..n).collect();
-    let extras: Vec<Option<Lease>> = (1..n.min(total)).map(|_| None).collect();
-    let wrapped = |input: &I| budget::scoped(budget::CoreBudget::new(total), || f(input));
-    let (buffers, _busy) = pool_run(&inputs, &order, extras, &wrapped);
-    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    for (i, out) in buffers {
-        slots[i] = Some(out);
-    }
-    let outs: Vec<O> = slots.into_iter().flatten().collect();
-    assert_eq!(outs.len(), n, "every index claimed by exactly one worker");
-    outs
 }
 
 /// Estimated relative cost of simulating one (benchmark × scheme) cell:
@@ -358,7 +317,7 @@ mod tests {
     #[test]
     fn weighted_map_preserves_order_with_any_costs() {
         let inputs: Vec<i32> = (0..64).collect();
-        let out = weighted_map(inputs, |&x| (x % 7) as u64, |&x| x * 3);
+        let (out, _) = weighted_map_stats(inputs, |&x| (x % 7) as u64, |&x| x * 3);
         assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
     }
 
@@ -369,7 +328,7 @@ mod tests {
         let claimed = std::sync::Mutex::new(Vec::new());
         budget::scoped(budget::CoreBudget::new(1), || {
             let costs = [3u64, 9, 1, 9, 5];
-            weighted_map((0..5usize).collect(), |&i| costs[i], |&i| {
+            weighted_map_stats((0..5usize).collect(), |&i| costs[i], |&i| {
                 claimed.lock().unwrap().push(i);
             });
         });
@@ -406,14 +365,6 @@ mod tests {
             parallel_map((0..16).collect(), |&x: &i32| x);
         });
         assert_eq!(b.spare(), 3, "all worker tokens returned");
-    }
-
-    #[test]
-    fn flat_baseline_matches_scheduled_results() {
-        let inputs: Vec<i32> = (0..40).collect();
-        let flat = flat_map_unarbitrated(inputs.clone(), |&x| x * x);
-        let sched = parallel_map(inputs, |&x| x * x);
-        assert_eq!(flat, sched);
     }
 
     #[test]

@@ -440,6 +440,26 @@ mod tests {
         assert_eq!(cache.hits(), 18, "3 probes x 3 repeated points x 2 baselines");
     }
 
+    #[test]
+    fn sweep_axis_warm_matches_cold() {
+        // A warm rerun serves the identical outcome matrix from the result
+        // cache: the same table, no new simulation, and every counter and
+        // the behavioural digest of the cached matrix unchanged (pinned at
+        // the value the cold pass has always produced at test scale).
+        let cache = crate::result_cache::ResultCache::shared();
+        let cfg = ExperimentConfig::test()
+            .with_result_cache(std::sync::Arc::clone(&cache))
+            .with_default_trace_cache();
+        let cold_table = sweep_interval(&cfg).render();
+        let cold = cache.totals();
+        let simulated = cache.simulations();
+        assert_eq!(cold.digest, 0xe944_7fbd_7796_4e9a);
+        assert!(cold.sim_cycles > 0);
+        assert_eq!(sweep_interval(&cfg).render(), cold_table);
+        assert_eq!(cache.simulations(), simulated, "the warm pass simulated");
+        assert_eq!(cache.totals(), cold);
+    }
+
     fn signed_cells(t: &Table) -> Vec<f64> {
         t.to_csv()
             .lines()

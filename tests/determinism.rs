@@ -5,7 +5,9 @@
 //! `icp-lint`'s D-rules prove the `#[deterministic]` closure avoids
 //! nondeterminism sources; this suite pins the digests those rules
 //! protect, across every delivery path a stream can take into the sliced
-//! LLC and every core budget it can run under.
+//! LLC and every core budget it can run under. The `pinned_*` tests go one
+//! step further and fix the digests themselves: a change that is meant to
+//! leave simulator behaviour alone must leave every constant below alone.
 
 use std::sync::Arc;
 
@@ -16,9 +18,12 @@ use icp::sim::budget::{self, CoreBudget};
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
 use icp::sim::slice::Llc;
-use icp::sim::stream::AccessStream;
-use icp::sim::{GlobalStats, Machine, Measurable, SystemConfig};
-use icp::workloads::{suite, WorkloadScale};
+use icp::sim::stream::{AccessStream, ReplayStream};
+use icp::sim::{
+    CacheConfig, GlobalStats, Machine, Measurable, PackedBlock, PackedReplayStream, PackedTrace,
+    Simulator, SystemConfig, ThreadEvent,
+};
+use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadBuilder, WorkloadScale};
 
 fn all_schemes() -> Vec<Scheme> {
     vec![
@@ -296,4 +301,222 @@ fn thread_count_sweep_is_budget_invariant() {
         (36, 0),
         "4 points x 3 probes x 3 schemes, all distinct"
     );
+}
+
+/// Events recorded per thread by the pinned-digest scenarios.
+const PINNED_EVENTS: usize = 2_000;
+
+/// Paper-shaped system (1 MB 64-way L2) at `cores` cores, with intervals
+/// short enough that the interval machinery runs.
+fn pinned_config(cores: usize) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.cores = cores;
+    cfg.interval_instructions = 2_000_000;
+    cfg
+}
+
+/// Runs `sim` to completion and folds the wall clock with every thread's
+/// active cycles, L2 misses and L2 hits.
+fn pinned_digest<M: Measurable>(sim: &mut M) -> u64 {
+    while let Some(r) = sim.run_interval() {
+        if r.finished {
+            break;
+        }
+    }
+    sim.stats()
+        .threads
+        .iter()
+        .map(|t| {
+            t.active_cycles
+                .wrapping_mul(31)
+                .wrapping_add(t.l2_misses)
+                .wrapping_add(t.l2_hits.wrapping_mul(7))
+        })
+        .fold(sim.wall_cycles(), |acc, x| {
+            acc.wrapping_mul(1_000_003).wrapping_add(x)
+        })
+}
+
+/// The L1-miss/L2-hit path: one core walking half the L2 in a scrambled
+/// order, and the miss + prefetch path: one core streaming sequentially
+/// with a degree-4 prefetcher.
+#[test]
+fn pinned_single_core_digests() {
+    let mut cfg = pinned_config(1);
+    cfg.l1 = CacheConfig::new(8 * 1024, 4, 64);
+    let ws_lines = cfg.l2.size_bytes / cfg.l2.line_bytes / 2;
+    let events: Vec<ThreadEvent> = (0..PINNED_EVENTS as u64)
+        .map(|i| ThreadEvent::access(1, (i.wrapping_mul(0x9E37_79B1) % ws_lines) * 64))
+        .collect();
+    let mut sim = Simulator::new(cfg, vec![Box::new(ReplayStream::new(events))]);
+    assert_eq!(
+        pinned_digest(&mut sim),
+        0x0000_004c_5efd_0250,
+        "L2-hit path"
+    );
+
+    let mut cfg = pinned_config(1);
+    cfg.prefetch_degree = 4;
+    let events: Vec<ThreadEvent> = (0..PINNED_EVENTS as u64)
+        .map(|i| ThreadEvent::Access {
+            gap: 2,
+            addr: i * 64,
+            write: false,
+            mlp_tenths: 40,
+        })
+        .collect();
+    let mut sim = Simulator::new(cfg, vec![Box::new(ReplayStream::new(events))]);
+    assert_eq!(
+        pinned_digest(&mut sim),
+        0x0000_000a_6e61_2b50,
+        "miss + prefetch path"
+    );
+}
+
+/// Master seed of the pinned 4-thread workload.
+const PINNED_4T_SEED: u64 = 0xB007_5EED;
+
+/// `threads` threads cycling four archetypes (streaming, cache-friendly,
+/// two mid-size) with 10 % sharing.
+fn pinned_mix(threads: usize) -> BenchmarkSpec {
+    let mut b = WorkloadBuilder::new("pinned-mix")
+        .sections(1, 1_000_000_000_000)
+        .shared_region(0.1, 0.8);
+    for i in 0..threads {
+        b = match i % 4 {
+            0 => b.thread(|t| t.working_set(2.0).theta(0.5).memory_intensity(0.3).mlp(6.0)),
+            1 => b.thread(|t| t.working_set(0.05).theta(1.0).memory_intensity(0.25)),
+            2 => b.thread(|t| t.working_set(0.5).theta(0.8).memory_intensity(0.2)),
+            _ => b.thread(|t| {
+                t.working_set(0.3)
+                    .theta(0.7)
+                    .memory_intensity(0.15)
+                    .mlp(2.0)
+            }),
+        };
+    }
+    b.build()
+}
+
+/// The 4-thread interleaved path: the mix replayed from packed traces
+/// under an equal way partition with 8 L2 banks. The run retires exactly
+/// the instructions and accesses the traces hold.
+#[test]
+fn pinned_interleaved_4t_digest() {
+    let mut cfg = pinned_config(4);
+    cfg.l2_banks = 8;
+    let traces =
+        pinned_mix(4).pack_streams(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
+    let replays: Vec<Box<dyn AccessStream>> = traces
+        .iter()
+        .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
+        .collect();
+    let mut sim = Simulator::new(cfg, replays);
+    sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
+    assert_eq!(pinned_digest(&mut sim), 0xeccb_b649_76e2_fbd2);
+    for (t, trace) in sim.stats().threads.iter().zip(&traces) {
+        assert_eq!(t.instructions, trace.instructions());
+        assert_eq!(t.l1_hits + t.l1_misses, trace.accesses() as u64);
+    }
+}
+
+/// Folds per-thread `(instructions, accesses, barriers)` generation
+/// counters, seeded with the total access count.
+fn generation_digest(per_thread: &[(u64, u64, u64)]) -> u64 {
+    let accesses: u64 = per_thread.iter().map(|&(_, a, _)| a).sum();
+    per_thread
+        .iter()
+        .map(|&(i, a, b)| {
+            i.wrapping_mul(31)
+                .wrapping_add(a)
+                .wrapping_add(b.wrapping_mul(7))
+        })
+        .fold(accesses, |acc, x| {
+            acc.wrapping_mul(1_000_003).wrapping_add(x)
+        })
+}
+
+fn trace_counters(traces: &[Arc<PackedTrace>]) -> Vec<(u64, u64, u64)> {
+    traces
+        .iter()
+        .map(|t| (t.instructions(), t.accesses() as u64, t.barriers() as u64))
+        .collect()
+}
+
+/// Generation of the 4-thread mix carries the same content whether packed
+/// serially, packed on parallel producers, or drained through recycled
+/// columnar blocks.
+#[test]
+fn pinned_generation_digest_across_paths() {
+    const PINNED: u64 = 0x4af4_3501_94b7_5b21;
+    let mut cfg = pinned_config(4);
+    cfg.l2_banks = 8;
+    let spec = pinned_mix(4);
+    let serial = spec.pack_streams(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
+    assert_eq!(
+        generation_digest(&trace_counters(&serial)),
+        PINNED,
+        "pack_streams"
+    );
+    let parallel =
+        spec.pack_streams_parallel(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
+    assert_eq!(
+        generation_digest(&trace_counters(&parallel)),
+        PINNED,
+        "pack_streams_parallel"
+    );
+
+    const BATCH: usize = 4096;
+    let mut block = PackedBlock::with_capacity(BATCH);
+    let drained: Vec<(u64, u64, u64)> = spec
+        .threads
+        .iter()
+        .enumerate()
+        .map(|(t, ts)| {
+            let mut stream =
+                SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Figure, PINNED_4T_SEED);
+            let (mut insts, mut accs, mut bars) = (0u64, 0u64, 0u64);
+            let mut remaining = PINNED_EVENTS;
+            loop {
+                stream.fill_packed(&mut block, BATCH.min(remaining));
+                remaining -= block.len();
+                insts += block.gaps().iter().map(|&g| g as u64 + 1).sum::<u64>();
+                accs += block.accesses() as u64;
+                bars += block.barrier_count() as u64;
+                if block.finished() || block.is_empty() {
+                    break;
+                }
+            }
+            (insts, accs, bars)
+        })
+        .collect();
+    assert_eq!(generation_digest(&drained), PINNED, "fill_packed drain");
+}
+
+/// `cores` threads of the archetype mix on a `slices`-slice LLC under an
+/// equal way partition.
+fn pinned_sliced_digest(cores: usize, slices: u32) -> u64 {
+    let mut cfg = pinned_config(cores);
+    cfg.l2_banks = 8;
+    cfg.llc = LlcConfig::sliced(slices);
+    let streams: Vec<_> = pinned_mix(cores)
+        .pack_streams(&cfg, WorkloadScale::Figure, 0x511C_ED16, PINNED_EVENTS)
+        .into_iter()
+        .map(PackedReplayStream::new)
+        .collect();
+    let mut sim = Llc::new(cfg, streams);
+    sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
+    pinned_digest(&mut sim)
+}
+
+/// 16 cores on 4 slices, inline (budget 1) and on slice workers
+/// (budget 2), and 64 cores on 8 slices, the widest configured topology.
+#[test]
+fn pinned_sliced_digests() {
+    for total in [1usize, 2] {
+        let digest = budget::scoped(CoreBudget::new(total), || pinned_sliced_digest(16, 4));
+        assert_eq!(digest, 0xee23_694f_37d1_8b78, "16 x 4 at budget {total}");
+    }
+    let digest = budget::scoped(CoreBudget::new(2), || pinned_sliced_digest(64, 8));
+    assert_eq!(digest, 0x7474_028f_dcb2_948b, "64 x 8");
 }

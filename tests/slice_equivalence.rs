@@ -12,8 +12,10 @@
 //!    budget, which advances the N slices on one thread in slice order.
 //!
 //! This suite pins both across every suite benchmark at N ∈ {1, 2, 4, 8},
-//! including under mid-run repartitioning, and sanity-checks the slice
-//! hash: no slice starves under the suite's Zipf-skewed address streams.
+//! including under mid-run repartitioning, and over random event streams
+//! at random slice counts and L2 geometries (a seeded property test), and
+//! sanity-checks the slice hash: no slice starves under the suite's
+//! Zipf-skewed address streams.
 //!
 //! Each side of a parallel-vs-serial comparison runs under its own
 //! `budget::scoped` core budget. The process-wide budget is shared by
@@ -23,13 +25,15 @@
 
 use std::sync::Arc;
 
+use icp::numeric::rng::Xoshiro256;
 use icp::sim::budget::{self, CoreBudget};
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
 use icp::sim::slice::{Llc, SliceTopology};
-use icp::sim::stream::AccessStream;
+use icp::sim::stream::{AccessStream, ReplayStream};
 use icp::sim::{
-    GlobalStats, IntervalReport, Machine, Measurable, Simulator, SystemConfig, ThreadEvent,
+    CacheConfig, GlobalStats, IntervalReport, LatencyConfig, Machine, Measurable, Simulator,
+    SystemConfig, ThreadEvent,
 };
 use icp::workloads::{suite, BenchmarkSpec, WorkloadScale};
 
@@ -163,6 +167,95 @@ fn repartitioning_identical_between_engines() {
             let (a, _) = under_budget(n as usize, drive);
             let (b, _) = under_budget(1, drive);
             assert_eq!(a, b, "{} N={n}", spec.name);
+        }
+    }
+}
+
+/// A random event stream of up to 199 events: accesses with small gaps
+/// over 128 lines, and about one barrier in nine events (any barrier
+/// count is safe, since a finished thread never holds a barrier up).
+fn random_events(rng: &mut Xoshiro256) -> Vec<ThreadEvent> {
+    (0..rng.next_bounded(200))
+        .map(|_| {
+            if rng.next_bounded(9) == 0 {
+                ThreadEvent::Barrier
+            } else {
+                ThreadEvent::Access {
+                    gap: rng.next_bounded(6) as u32,
+                    addr: rng.next_bounded(128) * 64,
+                    write: rng.next_bool(0.5),
+                    mlp_tenths: (1 + rng.next_bounded(79) as u16).max(10),
+                }
+            }
+        })
+        .collect()
+}
+
+/// Property over slice count × L2 geometry: for random two-thread streams
+/// on a tiny machine with 1, 2 or 4 slices, 2–4 ways and 4–16 sets,
+/// slice-parallel execution equals the one-core-budget reference, and
+/// one slice equals the plain serial simulator.
+#[test]
+fn slice_equivalence_over_count_and_geometry() {
+    for case in 0..48u64 {
+        let mut rng = Xoshiro256::seed_from_u64(0x511C_E000 + case);
+        let streams = [random_events(&mut rng), random_events(&mut rng)];
+        let slices = 1u32 << rng.next_bounded(3);
+        let sets = 1u64 << (2 + rng.next_bounded(3));
+        let ways = 2 + rng.next_bounded(3) as u32;
+        let cfg = SystemConfig {
+            cores: 2,
+            l1: CacheConfig::new(2 * 64 * 2, 2, 64),
+            l2: CacheConfig::new(sets * 64 * u64::from(ways), ways, 64),
+            llc: LlcConfig::sliced(slices),
+            latency: LatencyConfig {
+                l1_hit: 1,
+                l2_hit: 10,
+                memory: 100,
+            },
+            interval_instructions: 64,
+            inclusive: false,
+            coherence: false,
+            prefetch_degree: 0,
+            l2_banks: 0,
+            victim_cache_lines: 0,
+        };
+        let replays = || {
+            streams
+                .iter()
+                .map(|e| ReplayStream::new(e.clone()))
+                .collect::<Vec<_>>()
+        };
+        let run = || {
+            let mut sim = Llc::new(cfg, replays());
+            while let Some(r) = sim.run_interval() {
+                if r.finished {
+                    break;
+                }
+            }
+            (sim.wall_cycles(), sim.stats().clone())
+        };
+        let context = format!("case {case}: {slices} slices, {sets} sets x {ways} ways");
+        let (parallel, _) = under_budget(slices as usize, run);
+        let (reference, _) = under_budget(1, run);
+        assert_eq!(
+            parallel, reference,
+            "{context}: parallel != serial reference"
+        );
+
+        if slices == 1 {
+            let mut serial = Simulator::from_streams(cfg, replays());
+            while let Some(r) = serial.run_interval() {
+                if r.finished {
+                    break;
+                }
+            }
+            assert_eq!(
+                parallel.0,
+                serial.wall_cycles(),
+                "{context}: wall != serial"
+            );
+            assert_eq!(&parallel.1, serial.stats(), "{context}: stats != serial");
         }
     }
 }
