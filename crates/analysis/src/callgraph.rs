@@ -370,16 +370,14 @@ fn extract_fns(file: &str, src: &str) -> Vec<FnInfo> {
             }
             TokKind::Punct('(') => paren_depth += 1,
             TokKind::Punct(')') => paren_depth = paren_depth.saturating_sub(1),
-            TokKind::Punct(';') => {
-                if paren_depth == 0 && bracket_depth == 0 {
-                    // Trait method declaration / `mod m;`: no body follows.
-                    pending_fn = None;
-                    pending_mod = false;
-                    pending_impl = None;
-                    pending_test = false;
-                    pending_det = false;
-                    pending_hot = false;
-                }
+            TokKind::Punct(';') if paren_depth == 0 && bracket_depth == 0 => {
+                // Trait method declaration / `mod m;`: no body follows.
+                pending_fn = None;
+                pending_mod = false;
+                pending_impl = None;
+                pending_test = false;
+                pending_det = false;
+                pending_hot = false;
             }
             TokKind::Punct('[') => bracket_depth += 1,
             TokKind::Punct(']') => bracket_depth = bracket_depth.saturating_sub(1),

@@ -167,12 +167,10 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config, graph: &CallGraph) ->
             }
             TokKind::Punct('(') => paren_depth += 1,
             TokKind::Punct(')') => paren_depth = paren_depth.saturating_sub(1),
-            TokKind::Punct(';') => {
-                if paren_depth == 0 && bracket_depth == 0 {
-                    pending_fn = None;
-                    pending_mod = false;
-                    pending_test = false;
-                }
+            TokKind::Punct(';') if paren_depth == 0 && bracket_depth == 0 => {
+                pending_fn = None;
+                pending_mod = false;
+                pending_test = false;
             }
             TokKind::Punct('[') => bracket_depth += 1,
             TokKind::Punct(']') => bracket_depth = bracket_depth.saturating_sub(1),
@@ -254,7 +252,7 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config, graph: &CallGraph) ->
                     }
                 }
                 // ---- D3: float reductions without a fixed-order note ----
-                "sum" | "product" | "fold" | "reduce" => {
+                "sum" | "product" | "fold" | "reduce"
                     if d3.enabled()
                         && cur_det
                         && !in_test
@@ -263,25 +261,24 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config, graph: &CallGraph) ->
                         && is_call_head(&sig, i)
                         && stmt_window_has_float(&sig, i)
                         && !has_order_comment(&lines, t.line)
-                        && !allowed(&d3, rel_path, cur_fn.as_deref())
-                    {
-                        findings.push(Finding {
-                            rule: "det_float_order",
-                            file: rel_path.to_string(),
-                            line: t.line,
-                            message: format!(
-                                "float `.{}()` in deterministic-closure fn `{}` (D3): \
-                                 float addition is non-associative, so the reduction \
-                                 order must be fixed — reduce in shard/index order and \
-                                 state it in an `// ORDER:` comment, or add a waiver",
-                                t.text,
-                                cur_fn.as_deref().unwrap_or("?"),
-                            ),
-                        });
-                    }
+                        && !allowed(&d3, rel_path, cur_fn.as_deref()) =>
+                {
+                    findings.push(Finding {
+                        rule: "det_float_order",
+                        file: rel_path.to_string(),
+                        line: t.line,
+                        message: format!(
+                            "float `.{}()` in deterministic-closure fn `{}` (D3): \
+                             float addition is non-associative, so the reduction \
+                             order must be fixed — reduce in shard/index order and \
+                             state it in an `// ORDER:` comment, or add a waiver",
+                            t.text,
+                            cur_fn.as_deref().unwrap_or("?"),
+                        ),
+                    });
                 }
                 // ---- D5 (panic half): transitive no-panic ----
-                "unwrap" | "expect" => {
+                "unwrap" | "expect"
                     if d5.enabled()
                         && cur_det
                         && !r3_covers
@@ -289,46 +286,44 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config, graph: &CallGraph) ->
                         && i > 0
                         && sig[i - 1].is_punct('.')
                         && sig.get(i + 1).is_some_and(|n| n.is_punct('('))
-                        && !allowed(&d5, rel_path, cur_fn.as_deref())
-                    {
-                        findings.push(Finding {
-                            rule: "det_transitive",
-                            file: rel_path.to_string(),
-                            line: t.line,
-                            message: format!(
-                                "`.{}()` in fn `{}`, reachable from a #[deterministic] \
-                                 root (D5): a panic mid-merge tears the digest state — \
-                                 handle the None/Err case or waive with the invariant \
-                                 that makes it unreachable{}",
-                                t.text,
-                                cur_fn.as_deref().unwrap_or("?"),
-                                via_note(graph, rel_path, cur_fn.as_deref()),
-                            ),
-                        });
-                    }
+                        && !allowed(&d5, rel_path, cur_fn.as_deref()) =>
+                {
+                    findings.push(Finding {
+                        rule: "det_transitive",
+                        file: rel_path.to_string(),
+                        line: t.line,
+                        message: format!(
+                            "`.{}()` in fn `{}`, reachable from a #[deterministic] \
+                             root (D5): a panic mid-merge tears the digest state — \
+                             handle the None/Err case or waive with the invariant \
+                             that makes it unreachable{}",
+                            t.text,
+                            cur_fn.as_deref().unwrap_or("?"),
+                            via_note(graph, rel_path, cur_fn.as_deref()),
+                        ),
+                    });
                 }
-                "panic" | "unreachable" | "todo" | "unimplemented" => {
+                "panic" | "unreachable" | "todo" | "unimplemented"
                     if d5.enabled()
                         && cur_det
                         && !r3_covers
                         && !in_test
                         && sig.get(i + 1).is_some_and(|n| n.is_punct('!'))
-                        && !allowed(&d5, rel_path, cur_fn.as_deref())
-                    {
-                        findings.push(Finding {
-                            rule: "det_transitive",
-                            file: rel_path.to_string(),
-                            line: t.line,
-                            message: format!(
-                                "`{}!` in fn `{}`, reachable from a #[deterministic] \
-                                 root (D5): deterministic-closure code must not contain \
-                                 panicking macros{}",
-                                t.text,
-                                cur_fn.as_deref().unwrap_or("?"),
-                                via_note(graph, rel_path, cur_fn.as_deref()),
-                            ),
-                        });
-                    }
+                        && !allowed(&d5, rel_path, cur_fn.as_deref()) =>
+                {
+                    findings.push(Finding {
+                        rule: "det_transitive",
+                        file: rel_path.to_string(),
+                        line: t.line,
+                        message: format!(
+                            "`{}!` in fn `{}`, reachable from a #[deterministic] \
+                             root (D5): deterministic-closure code must not contain \
+                             panicking macros{}",
+                            t.text,
+                            cur_fn.as_deref().unwrap_or("?"),
+                            via_note(graph, rel_path, cur_fn.as_deref()),
+                        ),
+                    });
                 }
                 _ => {}
             },

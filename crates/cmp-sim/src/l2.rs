@@ -1236,7 +1236,7 @@ impl PartitionedL2 {
         unsafe { masked_lru_argmin_avx512(lrus, own) }.unwrap_or(0)
     }
 
-    /// The §V victim policy via masked (P)LRU predicate walks — the
+    /// The §V victim policy via masked PLRU predicate walks — the
     /// tree-PLRU path, where candidate masks feed the tree descent and a
     /// fused LRU sweep doesn't apply. `owned_row` is the set's assignment
     /// counter row; the set is known to be full.
@@ -1260,38 +1260,19 @@ impl PartitionedL2 {
             .expect("set is full")
     }
 
-    /// The replacement policy's victim among the valid lines of `set` whose
-    /// *owner* satisfies `pred`: exact LRU ordering or a masked PLRU tree
-    /// walk. Ties in LRU clocks break toward the lowest way index (the
-    /// first minimum), matching the original AoS scan order.
+    /// The tree-PLRU victim among the valid lines of `set` whose *owner*
+    /// satisfies `pred`: the candidates form a mask that steers the PLRU
+    /// tree walk.
     fn victim_among<F: Fn(usize) -> bool>(&self, set: usize, pred: F) -> Option<usize> {
         let ways = self.geom.ways;
         let base = set * ways;
-        match self.replacement {
-            ReplacementKind::TrueLru => {
-                let mut best: Option<(u32, usize)> = None;
-                for w in 0..ways {
-                    if self.tags[base + w] != INVALID_TAG && pred(self.owners[base + w] as usize)
-                    {
-                        let lru = self.lrus[base + w];
-                        if best.is_none_or(|(b, _)| lru < b) {
-                            best = Some((lru, w));
-                        }
-                    }
-                }
-                best.map(|(_, w)| w)
-            }
-            ReplacementKind::TreePlru => {
-                let mut mask = 0u64;
-                for w in 0..ways {
-                    if self.tags[base + w] != INVALID_TAG && pred(self.owners[base + w] as usize)
-                    {
-                        mask |= 1 << w;
-                    }
-                }
-                plru::victim(self.plru_bits[set], ways as u32, mask).map(|w| w as usize)
+        let mut mask = 0u64;
+        for w in 0..ways {
+            if self.tags[base + w] != INVALID_TAG && pred(self.owners[base + w] as usize) {
+                mask |= 1 << w;
             }
         }
+        plru::victim(self.plru_bits[set], ways as u32, mask).map(|w| w as usize)
     }
 
     /// Per-thread hit counters.

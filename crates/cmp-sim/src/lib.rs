@@ -47,12 +47,12 @@ pub mod victim;
 pub use budget::{CoreBudget, Lease};
 pub use config::{CacheConfig, L2Geometry, LatencyConfig, LlcConfig, SystemConfig};
 pub use l2::{EnforcementKind, PartitionMode, PartitionedL2, ReplacementKind};
-pub use packed::{PackedBlock, PackedReplayStream, PackedTrace, TraceError};
+pub use packed::{PackedTrace, TraceError};
 pub use machine::{Machine, Measurable};
 pub use simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 pub use slice::{Llc, SliceTopology};
 pub use stats::{GlobalStats, InteractionStats, ThreadCounters};
-pub use stream::{AccessStream, ThreadEvent};
+pub use stream::{AccessStream, ReplayStream, ThreadEvent};
 pub use umon::{UmonProfile, UtilityMonitor};
 pub use victim::VictimCache;
 

@@ -18,7 +18,7 @@
 use crate::cache::SetAssocCache;
 use crate::config::{L2Geometry, SystemConfig};
 use crate::l2::PartitionedL2;
-use crate::packed::PackedBlock;
+use crate::packed::PackedTrace;
 use crate::stats::{GlobalStats, ThreadCounters};
 use crate::stream::{AccessStream, ThreadEvent};
 use crate::umon::UtilityMonitor;
@@ -108,23 +108,26 @@ const MISS_LUT_SIZE: usize = 256;
 /// generators and packed replays write straight into the ring's columns.
 #[derive(Clone, Debug)]
 struct EventRing {
-    /// The block being drained (columns read in place).
-    block: PackedBlock,
+    /// The chunk being drained (columns read in place).
+    block: PackedTrace,
     /// Accesses consumed from `block`.
     pos: usize,
     /// Barriers consumed from `block`.
     nb: usize,
+    /// The stream ended with the current chunk: once it drains, the core
+    /// sees `Finished`.
+    finished: bool,
 }
 
 impl EventRing {
     fn new() -> Self {
-        EventRing { block: PackedBlock::default(), pos: 0, nb: 0 }
+        EventRing { block: PackedTrace::new(), pos: 0, nb: 0, finished: false }
     }
 
-    /// Every event of the current block has been delivered.
+    /// Every event of the current chunk has been delivered.
     #[inline]
     fn drained(&self) -> bool {
-        self.pos >= self.block.accesses() && self.nb >= self.block.barrier_count()
+        self.pos >= self.block.accesses() && self.nb >= self.block.barriers()
     }
 }
 
@@ -153,7 +156,7 @@ impl EventRing {
 ///
 /// The stream type defaults to boxed trait objects (heterogeneous streams,
 /// the common case); instantiating with a concrete `Send` stream type such
-/// as [`crate::packed::PackedReplayStream`] yields a `Send` simulator that
+/// as [`crate::stream::ReplayStream`] yields a `Send` simulator that
 /// worker threads can own — the slices of [`crate::slice::Llc`].
 pub struct Simulator<S = Box<dyn AccessStream>> {
     cfg: SystemConfig,
@@ -399,22 +402,6 @@ impl<S: AccessStream> Simulator<S> {
         }
     }
 
-    /// Runs every remaining interval, invoking `on_interval` at each
-    /// boundary; the callback may inspect the report and repartition.
-    /// Returns total wall cycles at completion.
-    pub fn run_to_completion<F: FnMut(&mut Self, &IntervalReport)>(
-        &mut self,
-        mut on_interval: F,
-    ) -> u64 {
-        while let Some(report) = self.run_interval() {
-            // Take the callback after the borrow of `self` from run_interval
-            // ends; pass self back in for repartitioning.
-            let r = report;
-            on_interval(self, &r);
-        }
-        self.wall_cycles()
-    }
-
     /// Stream events consumed so far (accesses, barriers and finishes),
     /// summed over cores — the denominator of the [`crate::perf`]
     /// events/sec rate.
@@ -429,24 +416,22 @@ impl<S: AccessStream> Simulator<S> {
         // about to refill, so the check runs once per block per core.
         // O(cache size) — the feature's documented cost.
         #[cfg(feature = "sanitize")]
-        if self.rings[t].drained() && !self.rings[t].block.finished() {
+        if self.rings[t].drained() && !self.rings[t].finished {
             self.sanitize_batch_check();
         }
         // Refill this core's ring when drained; `rings` and `streams` are
-        // disjoint fields, so the stream fills the ring's block in place.
+        // disjoint fields, so the stream fills the ring's chunk in place.
         let ring = &mut self.rings[t];
-        if ring.drained() && !ring.block.finished() {
-            self.streams[t].fill_packed(&mut ring.block, EVENT_BATCH);
+        if ring.drained() && !ring.finished {
+            // An empty unfinished chunk means the stream has nothing left
+            // (only possible for non-conforming streams; the trait
+            // contract reserves that shape for `cap == 0`).
+            ring.finished = self.streams[t].fill_packed(&mut ring.block, EVENT_BATCH)
+                || ring.block.is_empty();
             ring.pos = 0;
             ring.nb = 0;
-            if ring.block.is_empty() && !ring.block.finished() {
-                // An empty unfinished block: the stream has nothing left
-                // (only possible for non-conforming streams; the trait
-                // contract reserves that shape for `cap == 0`).
-                ring.block.set_finished(true);
-            }
         }
-        let event = if ring.nb < ring.block.barrier_count()
+        let event = if ring.nb < ring.block.barriers()
             && ring.block.barrier_at(ring.nb) == ring.pos
         {
             ring.nb += 1;
@@ -456,8 +441,8 @@ impl<S: AccessStream> Simulator<S> {
             ring.pos += 1;
             e
         } else {
-            // Drained and finished: the block-level stand-in for the
-            // in-band `Finished` event.
+            // Drained and finished: the ring's stand-in for the in-band
+            // `Finished` event.
             ThreadEvent::Finished
         };
         self.events_processed += 1;
@@ -1090,23 +1075,5 @@ mod tests {
         // Thread 0: access, barrier, access, finished; thread 1: access,
         // barrier, finished.
         assert_eq!(sim.events_processed(), 7);
-    }
-
-    #[test]
-    fn run_to_completion_invokes_callback() {
-        let mut cfg = tiny_cfg();
-        cfg.interval_instructions = 5;
-        let s0 = ReplayStream::new((0..6).map(|i| access(4, i * 64)).collect());
-        let s1 = ReplayStream::new(vec![]);
-        let mut sim = Simulator::new(cfg, vec![Box::new(s0), Box::new(s1)]);
-        let mut boundaries = 0;
-        let wall = sim.run_to_completion(|_, r| {
-            boundaries += 1;
-            assert!(r.index < 10);
-        });
-        assert!(boundaries >= 6);
-        // Each event: 4 gap cycles + a 111-cycle L2 miss.
-        assert_eq!(wall, 6 * (4 + 111));
-        assert!(sim.is_finished());
     }
 }

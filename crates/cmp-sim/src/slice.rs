@@ -77,11 +77,11 @@ use icp_hot_path::deterministic;
 
 use crate::config::{CacheConfig, LlcConfig, SystemConfig};
 use crate::l2::{EnforcementKind, ReplacementKind};
-use crate::packed::{PackedBlock, PackedReplayStream, PackedTrace};
+use crate::packed::PackedTrace;
 use crate::machine::{Machine, Measurable};
 use crate::simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 use crate::stats::{GlobalStats, ThreadCounters};
-use crate::stream::{AccessStream, ThreadEvent};
+use crate::stream::{AccessStream, ReplayStream, ThreadEvent};
 use crate::umon::UtilityMonitor;
 use crate::ThreadId;
 
@@ -153,10 +153,10 @@ impl SliceTopology {
 fn demux_stream<S: AccessStream>(mut stream: S, topology: &SliceTopology) -> Vec<PackedTrace> {
     let mut out: Vec<PackedTrace> =
         (0..topology.num_slices()).map(|_| PackedTrace::new()).collect();
-    let mut block = PackedBlock::with_capacity(DEMUX_BATCH);
+    let mut chunk = PackedTrace::with_capacity(DEMUX_BATCH);
     loop {
-        stream.fill_packed(&mut block, DEMUX_BATCH);
-        for e in block.to_events() {
+        let finished = stream.fill_packed(&mut chunk, DEMUX_BATCH);
+        for e in chunk.to_events() {
             match e {
                 ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
                     out[topology.slice_of(addr)].push_access(gap, addr, write, mlp_tenths);
@@ -169,10 +169,10 @@ fn demux_stream<S: AccessStream>(mut stream: S, topology: &SliceTopology) -> Vec
                 ThreadEvent::Finished => {}
             }
         }
-        if block.finished() {
+        if finished {
             break;
         }
-        assert!(!block.is_empty(), "stream stalled without finishing");
+        assert!(!chunk.is_empty(), "stream stalled without finishing");
     }
     out
 }
@@ -209,7 +209,7 @@ pub struct Llc {
     cfg: SystemConfig,
     /// Slice `j`: a simulator at the slice geometry replaying every core's
     /// slice-`j` sub-trace.
-    slices: Vec<Simulator<PackedReplayStream>>,
+    slices: Vec<Simulator<ReplayStream>>,
     /// Merged cumulative statistics, rebuilt at each interval boundary.
     stats: GlobalStats,
     interval_index: usize,
@@ -333,7 +333,7 @@ impl Llc {
 /// independently, so chunking only decides which OS thread hosts which
 /// slice — one worker is the inline walk in slice order.
 fn run_slices(
-    slices: &mut [Simulator<PackedReplayStream>],
+    slices: &mut [Simulator<ReplayStream>],
     workers: usize,
 ) -> Vec<Option<IntervalReport>> {
     let n = slices.len();
@@ -344,7 +344,7 @@ fn run_slices(
     let base = n / workers;
     let extra = n % workers;
     let mut rest = slices;
-    let mut chunks: Vec<&mut [Simulator<PackedReplayStream>]> = Vec::with_capacity(workers);
+    let mut chunks: Vec<&mut [Simulator<ReplayStream>]> = Vec::with_capacity(workers);
     for i in 0..workers {
         let take = base + usize::from(i < extra);
         let (head, tail) = rest.split_at_mut(take);

@@ -3,12 +3,13 @@
 //! A thread's execution is abstracted as a stream of [`ThreadEvent`]s:
 //! memory accesses separated by runs of non-memory instructions, barrier
 //! arrivals delimiting parallel sections (§III-B), and termination. The
-//! `icp-workloads` crate provides synthetic generators; traces or other
-//! sources can implement [`AccessStream`] too.
+//! `icp-workloads` crate provides synthetic generators; [`ReplayStream`]
+//! replays a recorded [`PackedTrace`], and other sources can implement
+//! [`AccessStream`] too.
 
-use icp_hot_path::hot_path;
+use std::sync::Arc;
 
-use crate::packed::PackedBlock;
+use crate::packed::PackedTrace;
 
 /// One event in a thread's instruction stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,140 +55,127 @@ impl ThreadEvent {
 ///
 /// Streams are *generation-only*: the simulator never feeds timing or cache
 /// state back into them, so events may be produced ahead of consumption.
-/// The simulator exploits that with [`Self::fill_batch`], pulling events
-/// into a per-core ring so the per-event virtual dispatch amortises over a
-/// whole batch.
+/// The simulator exploits that with [`Self::fill_packed`], pulling events
+/// into a per-core ring of packed columns so the per-event virtual dispatch
+/// amortises over a whole chunk.
 pub trait AccessStream {
     /// Returns the next event. After returning [`ThreadEvent::Finished`]
     /// the stream will not be polled again.
     fn next_event(&mut self) -> ThreadEvent;
 
-    /// Fills `out` with upcoming events and returns how many were written.
-    ///
-    /// The batch ends early (possibly with fewer events than `out` holds)
-    /// after a [`ThreadEvent::Finished`] is written; the stream is not
-    /// polled again afterwards. Returns 0 only when `out` is empty.
-    /// Implementations must produce exactly the sequence `next_event` would
-    /// — batching is a delivery detail, never a semantic one (the
-    /// `batch_equivalence` integration suite holds implementations to
-    /// this).
-    ///
-    /// The default forwards to [`Self::next_event`]; generators override it
-    /// to produce batches natively.
-    fn fill_batch(&mut self, out: &mut [ThreadEvent]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            let e = self.next_event();
-            out[n] = e;
-            n += 1;
-            if matches!(e, ThreadEvent::Finished) {
-                break;
-            }
-        }
-        n
-    }
-
     /// Clears `out` and refills it with at most `cap` upcoming events
-    /// (accesses plus barriers) in packed column form.
+    /// (accesses plus barriers) in packed column form. Returns `true` when
+    /// the stream ended within (or right at the end of) this fill.
     ///
-    /// Stream termination is carried as the block's `finished` flag rather
-    /// than an in-band event, and — exactly like a `Finished` written by
-    /// [`Self::fill_batch`] — ends delivery: the block may hold fewer than
-    /// `cap` events, and the stream is not polled again afterwards (if it
-    /// is, it must keep yielding empty finished blocks). The delivered
-    /// column sequence must decode to exactly what `next_event` would
-    /// produce; `cap == 0` yields an empty, unfinished block with nothing
-    /// consumed.
+    /// Termination is the return value rather than an in-band event, and
+    /// ends delivery: `out` may hold fewer than `cap` events, and the
+    /// stream is not polled again afterwards (if it is, it must keep
+    /// returning `true` with `out` empty). An unfinished fill holds exactly
+    /// `cap` events. The delivered column sequence must decode to exactly
+    /// what `next_event` would produce — chunking is a delivery detail,
+    /// never a semantic one (the `batch_equivalence` integration suite
+    /// holds implementations to this); `cap == 0` consumes nothing and
+    /// returns `false`.
     ///
-    /// The default bridges through [`Self::fill_batch`]; columnar
-    /// generators and replays override it to write columns directly.
-    fn fill_packed(&mut self, out: &mut PackedBlock, cap: usize) {
+    /// The default loops over [`Self::next_event`]; columnar generators
+    /// and [`ReplayStream`] override it to write columns directly.
+    fn fill_packed(&mut self, out: &mut PackedTrace, cap: usize) -> bool {
         out.clear();
-        let mut buf = [ThreadEvent::Finished; 256];
         while out.len() < cap {
-            let want = (cap - out.len()).min(buf.len());
-            let n = self.fill_batch(&mut buf[..want]);
-            if n == 0 {
-                break;
-            }
-            for &e in &buf[..n] {
-                match e {
-                    ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
-                        out.push_access(gap, addr, write, mlp_tenths);
-                    }
-                    ThreadEvent::Barrier => out.push_barrier(),
-                    ThreadEvent::Finished => {
-                        out.set_finished(true);
-                        return;
-                    }
+            match self.next_event() {
+                ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
+                    out.push_access(gap, addr, write, mlp_tenths);
                 }
+                ThreadEvent::Barrier => out.push_barrier(),
+                ThreadEvent::Finished => return true,
             }
         }
-    }
-}
-
-/// Blanket impl so closures can serve as streams in tests.
-impl<F: FnMut() -> ThreadEvent> AccessStream for F {
-    fn next_event(&mut self) -> ThreadEvent {
-        self()
+        false
     }
 }
 
 /// Delegation for boxed streams, so wrappers and adaptors can hold a
 /// `Box<dyn AccessStream>` and still be streams themselves. Forwards
-/// `fill_batch` too — a boxed generator keeps its native batching.
+/// `fill_packed` too — a boxed generator keeps its columnar delivery.
 impl AccessStream for Box<dyn AccessStream + '_> {
     fn next_event(&mut self) -> ThreadEvent {
         (**self).next_event()
     }
 
-    fn fill_batch(&mut self, out: &mut [ThreadEvent]) -> usize {
-        (**self).fill_batch(out)
-    }
-
-    fn fill_packed(&mut self, out: &mut PackedBlock, cap: usize) {
-        (**self).fill_packed(out, cap);
+    fn fill_packed(&mut self, out: &mut PackedTrace, cap: usize) -> bool {
+        (**self).fill_packed(out, cap)
     }
 }
 
-/// A stream replaying a fixed event sequence, then `Finished`. Useful in
-/// tests and for trace-driven simulation.
+/// A stream replaying a [`PackedTrace`], then `Finished` forever.
+///
+/// [`PackedTrace::stream`] shares one trace between any number of
+/// replays — each costs two cursor words, not a copy of the columns —
+/// and [`ReplayStream::new`] packs an explicit event list.
 #[derive(Clone, Debug)]
 pub struct ReplayStream {
-    events: Vec<ThreadEvent>,
-    pos: usize,
+    trace: Arc<PackedTrace>,
+    /// Next access column index to deliver.
+    next_access: usize,
+    /// Next barrier marker to fire.
+    next_barrier: usize,
 }
 
 impl ReplayStream {
     /// Creates a stream that yields `events` in order, then `Finished`
-    /// forever.
+    /// forever. Events after a `Finished` in `events` are dropped.
     pub fn new(events: Vec<ThreadEvent>) -> Self {
-        ReplayStream { events, pos: 0 }
+        ReplayStream::over(Arc::new(PackedTrace::from_events(&events)))
+    }
+
+    /// A replay cursor at the start of a shared trace.
+    pub(crate) fn over(trace: Arc<PackedTrace>) -> Self {
+        ReplayStream { trace, next_access: 0, next_barrier: 0 }
     }
 }
 
 impl AccessStream for ReplayStream {
     fn next_event(&mut self) -> ThreadEvent {
-        let e = self.events.get(self.pos).copied().unwrap_or(ThreadEvent::Finished);
-        self.pos += 1;
-        e
+        match self.trace.event_at(self.next_access, self.next_barrier) {
+            Some(ThreadEvent::Barrier) => {
+                self.next_barrier += 1;
+                ThreadEvent::Barrier
+            }
+            Some(e) => {
+                self.next_access += 1;
+                e
+            }
+            None => ThreadEvent::Finished,
+        }
     }
 
-    /// Native batch delivery: one slice copy instead of per-event calls.
-    #[hot_path]
-    fn fill_batch(&mut self, out: &mut [ThreadEvent]) -> usize {
-        // `pos` can sit past the end once the synthesised `Finished` has
-        // been delivered; clamp before slicing.
-        let pos = self.pos.min(self.events.len());
-        let n = (self.events.len() - pos).min(out.len());
-        out[..n].copy_from_slice(&self.events[pos..pos + n]);
-        self.pos = pos + n;
-        if n < out.len() {
-            out[n] = ThreadEvent::Finished;
-            self.pos += 1;
-            return n + 1;
+    /// Columnar delivery: access runs between barriers become column-range
+    /// memcpys out of the shared trace — no per-event decode at all on the
+    /// replay side.
+    fn fill_packed(&mut self, out: &mut PackedTrace, cap: usize) -> bool {
+        out.clear();
+        let ReplayStream { trace, next_access, next_barrier } = self;
+        while out.len() < cap {
+            // Barriers due at the cursor fire before the next access run.
+            if *next_barrier < trace.barriers() && trace.barrier_at(*next_barrier) == *next_access {
+                out.push_barrier();
+                *next_barrier += 1;
+                continue;
+            }
+            if *next_access >= trace.accesses() {
+                return true;
+            }
+            // Copy the access run up to the next barrier or the cap.
+            let until = if *next_barrier < trace.barriers() {
+                trace.barrier_at(*next_barrier)
+            } else {
+                trace.accesses()
+            };
+            let run = (until - *next_access).min(cap - out.len());
+            out.extend_accesses(trace, *next_access, *next_access + run);
+            *next_access += run;
         }
-        n
+        false
     }
 }
 
@@ -208,68 +196,43 @@ mod tests {
     }
 
     #[test]
-    fn replay_fill_batch_matches_next_event() {
+    fn replay_drops_events_after_finished() {
+        let mut s = ReplayStream::new(vec![
+            ThreadEvent::access(2, 64),
+            ThreadEvent::Finished,
+            ThreadEvent::access(0, 128),
+        ]);
+        assert_eq!(s.next_event(), ThreadEvent::access(2, 64));
+        assert_eq!(s.next_event(), ThreadEvent::Finished);
+        assert_eq!(s.next_event(), ThreadEvent::Finished);
+    }
+
+    #[test]
+    fn replay_fill_packed_matches_next_event() {
         let events = vec![
             ThreadEvent::access(2, 64),
             ThreadEvent::Barrier,
             ThreadEvent::access(0, 128),
         ];
-        let mut batched = ReplayStream::new(events.clone());
-        let mut single = ReplayStream::new(events);
-        let mut buf = [ThreadEvent::Finished; 2];
-        // First batch: full buffer, no Finished yet.
-        assert_eq!(batched.fill_batch(&mut buf), 2);
-        assert_eq!(buf[0], single.next_event());
-        assert_eq!(buf[1], single.next_event());
-        // Second batch: last event + the synthesised Finished.
-        assert_eq!(batched.fill_batch(&mut buf), 2);
-        assert_eq!(buf[0], single.next_event());
-        assert_eq!(buf[1], ThreadEvent::Finished);
-        // Exhausted stream keeps yielding Finished-only batches.
-        assert_eq!(batched.fill_batch(&mut buf), 1);
-        assert_eq!(buf[0], ThreadEvent::Finished);
+        let mut chunked = ReplayStream::new(events.clone());
+        let mut chunk = PackedTrace::new();
+        // First fill: a full chunk, not finished yet.
+        assert!(!chunked.fill_packed(&mut chunk, 2));
+        assert_eq!(chunk.to_events(), events[..2]);
+        // Second fill: the last event and the end.
+        assert!(chunked.fill_packed(&mut chunk, 2));
+        assert_eq!(chunk.to_events(), events[2..]);
+        // An exhausted stream keeps reporting the end with nothing in it.
+        assert!(chunked.fill_packed(&mut chunk, 2));
+        assert!(chunk.is_empty());
     }
 
     #[test]
-    fn default_fill_batch_stops_after_finished() {
-        // The blanket closure impl uses the default fill_batch.
-        let mut n = 0u32;
-        let mut s = move || {
-            n += 1;
-            if n <= 3 {
-                ThreadEvent::access(0, n as u64 * 64)
-            } else {
-                ThreadEvent::Finished
-            }
-        };
-        let mut buf = [ThreadEvent::Barrier; 8];
-        let filled = AccessStream::fill_batch(&mut s, &mut buf);
-        assert_eq!(filled, 4);
-        assert!(matches!(buf[2], ThreadEvent::Access { .. }));
-        assert_eq!(buf[3], ThreadEvent::Finished);
-    }
-
-    #[test]
-    fn fill_batch_with_empty_buffer_is_zero() {
+    fn fill_packed_with_zero_cap_consumes_nothing() {
         let mut s = ReplayStream::new(vec![ThreadEvent::access(0, 0)]);
-        assert_eq!(s.fill_batch(&mut []), 0);
-        // Nothing consumed.
+        let mut chunk = PackedTrace::new();
+        assert!(!s.fill_packed(&mut chunk, 0));
+        assert!(chunk.is_empty());
         assert_eq!(s.next_event(), ThreadEvent::access(0, 0));
-    }
-
-    #[test]
-    fn closure_stream() {
-        let mut n = 0u32;
-        let mut s = move || {
-            n += 1;
-            if n <= 2 {
-                ThreadEvent::access(0, 0)
-            } else {
-                ThreadEvent::Finished
-            }
-        };
-        assert!(matches!(AccessStream::next_event(&mut s), ThreadEvent::Access { .. }));
-        assert!(matches!(AccessStream::next_event(&mut s), ThreadEvent::Access { .. }));
-        assert!(matches!(AccessStream::next_event(&mut s), ThreadEvent::Finished));
     }
 }

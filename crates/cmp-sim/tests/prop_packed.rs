@@ -9,23 +9,23 @@
 //! * **Round-trip**: `PackedTrace::from_events(e).to_events() == e` — the
 //!   struct-of-arrays columns (including the write bitmap across word
 //!   boundaries and the barrier position encoding) are lossless.
-//! * **Replay equivalence**: a `PackedReplayStream` delivers exactly the
-//!   `ReplayStream` sequence, event-by-event and under random batch sizes.
+//! * **Replay equivalence**: a `ReplayStream` over a shared trace delivers
+//!   exactly the event sequence, then `Finished` forever.
 //! * **Record equivalence**: `PackedTrace::record` with a random event
 //!   limit stores exactly what draining the stream event by event up to
 //!   that limit yields.
 //! * **Columnar drain equivalence**: draining a stream through
-//!   `fill_packed` blocks under a random cap schedule reconstructs the
-//!   exact event sequence — for both the default bridging implementation
-//!   and `PackedReplayStream`'s zero-copy override — with every block
-//!   respecting its cap and the finished flag replacing the in-band
+//!   `fill_packed` chunks under a random cap schedule reconstructs the
+//!   exact event sequence — for both the trait's default loop over
+//!   `next_event` and `ReplayStream`'s zero-copy override — with every
+//!   chunk respecting its cap and the return value replacing the in-band
 //!   `Finished` event.
 //! * **Binary format**: `to_bytes` round-trips through `from_bytes`, and
 //!   every truncation and random byte flips of a valid encoding decode to
 //!   a `TraceError` or a trace — never a panic.
 
 use icp_cmp_sim::stream::{AccessStream, ReplayStream, ThreadEvent};
-use icp_cmp_sim::{PackedBlock, PackedTrace, TraceError};
+use icp_cmp_sim::{PackedTrace, TraceError};
 use icp_numeric::rng::Xoshiro256;
 use std::sync::Arc;
 
@@ -73,55 +73,46 @@ fn packed_roundtrip_property() {
 }
 
 #[test]
-fn packed_replay_matches_vec_replay_property() {
+fn packed_replay_matches_events_property() {
     let mut rng = Xoshiro256::seed_from_u64(0xC0DE_CAFE);
     for case in 0..150u64 {
         let len = rng.next_bounded(300) as usize;
         let events = random_events(&mut rng, len);
         let packed = Arc::new(PackedTrace::from_events(&events));
-
-        // Event-by-event.
-        let mut a = PackedTrace::stream(&packed);
-        let mut b = ReplayStream::new(events.clone());
+        let mut replay = PackedTrace::stream(&packed);
         for step in 0..len + 3 {
-            assert_eq!(a.next_event(), b.next_event(), "case {case} step {step}");
-        }
-
-        // Random batch sizes, fresh cursors.
-        let mut a = PackedTrace::stream(&packed);
-        let mut b = ReplayStream::new(events);
-        loop {
-            let batch = rng.next_bounded(17) as usize + 1;
-            let mut buf_a = vec![ThreadEvent::Barrier; batch];
-            let mut buf_b = vec![ThreadEvent::Barrier; batch];
-            let na = a.fill_batch(&mut buf_a);
-            let nb = b.fill_batch(&mut buf_b);
-            assert_eq!(na, nb, "case {case} batch {batch}");
-            assert_eq!(buf_a[..na], buf_b[..nb], "case {case} batch {batch}");
-            if buf_a[..na].contains(&ThreadEvent::Finished) {
-                break;
-            }
+            let expect = events.get(step).copied().unwrap_or(ThreadEvent::Finished);
+            assert_eq!(replay.next_event(), expect, "case {case} step {step}");
         }
     }
 }
 
+/// Delivers only through `next_event`, so draining it exercises the
+/// trait's default `fill_packed`.
+struct Scalar(ReplayStream);
+
+impl AccessStream for Scalar {
+    fn next_event(&mut self) -> ThreadEvent {
+        self.0.next_event()
+    }
+}
+
 /// Drains `s` through `fill_packed` using the cyclic `caps` schedule,
-/// re-expanding each block. The returned sequence ends with the `Finished`
-/// that `to_events` synthesises from the block's finished flag.
+/// re-expanding each chunk. The returned sequence ends with a `Finished`
+/// standing in for the fill that reported the end.
 fn drain_packed<S: AccessStream>(mut s: S, caps: &[usize], tag: &str) -> Vec<ThreadEvent> {
-    let mut block = PackedBlock::default();
+    let mut chunk = PackedTrace::new();
     let mut out = Vec::new();
-    let mut stalls = 0;
     for &cap in caps.iter().cycle() {
-        s.fill_packed(&mut block, cap);
-        assert!(block.len() <= cap, "{tag}: block overshot cap {cap}");
-        out.extend(block.to_events());
-        if block.finished() {
+        let finished = s.fill_packed(&mut chunk, cap);
+        assert!(chunk.len() <= cap, "{tag}: chunk overshot cap {cap}");
+        out.extend(chunk.to_events());
+        if finished {
+            out.push(ThreadEvent::Finished);
             return out;
         }
-        // An unfinished empty block means no progress; tolerate none.
-        stalls += usize::from(block.is_empty());
-        assert_eq!(stalls, 0, "{tag}: unfinished stream stalled");
+        // An unfinished fill is full; an empty one would make no progress.
+        assert_eq!(chunk.len(), cap, "{tag}: unfinished chunk short of cap {cap}");
     }
     unreachable!("caps schedule is non-empty")
 }
@@ -133,23 +124,23 @@ fn fill_packed_drain_matches_events_property() {
         let len = rng.next_bounded(300) as usize;
         let events = random_events(&mut rng, len);
         let packed = Arc::new(PackedTrace::from_events(&events));
-        // One random cap schedule (1..=23, so blocks straddle every event
+        // One random cap schedule (1..=23, so chunks straddle every event
         // pattern) shared by both implementations.
         let caps: Vec<usize> =
             (0..8).map(|_| rng.next_bounded(23) as usize + 1).collect();
         let mut expect = events.clone();
         expect.push(ThreadEvent::Finished);
-        // PackedReplayStream's zero-copy column-slice override.
+        // ReplayStream's zero-copy column-slice override.
         let zero_copy =
             drain_packed(PackedTrace::stream(&packed), &caps, &format!("case {case} zero-copy"));
         assert_eq!(zero_copy, expect, "case {case}: zero-copy drain");
-        // The trait's default bridging implementation over `fill_batch`.
-        let bridged = drain_packed(
-            ReplayStream::new(events),
+        // The trait's default loop over `next_event`.
+        let scalar = drain_packed(
+            Scalar(ReplayStream::new(events)),
             &caps,
-            &format!("case {case} bridged"),
+            &format!("case {case} scalar"),
         );
-        assert_eq!(bridged, expect, "case {case}: bridged drain");
+        assert_eq!(scalar, expect, "case {case}: scalar drain");
     }
 }
 

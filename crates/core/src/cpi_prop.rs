@@ -168,13 +168,15 @@ mod tests {
         let latency = icp_cmp_sim::LatencyConfig { l1_hit: 1, l2_hit: 12, memory: 150 };
         // Hand-built counters: 1000 instructions, 400 accesses, 100 L1
         // misses, 40 L2 misses at an effective 75 cycles DRAM each.
-        let mut c = icp_cmp_sim::stats::ThreadCounters::default();
-        c.instructions = 1_000;
-        c.l1_hits = 300;
-        c.l1_misses = 100;
-        c.l2_hits = 60;
-        c.l2_misses = 40;
-        c.active_cycles = (1_000 - 400) + 400 * 1 + 100 * 12 + 40 * 75;
+        let mut c = icp_cmp_sim::stats::ThreadCounters {
+            instructions: 1_000,
+            l1_hits: 300,
+            l1_misses: 100,
+            l2_hits: 60,
+            l2_misses: 40,
+            active_cycles: (1_000 - 400) + 400 * latency.l1_hit + 100 * latency.l2_hit + 40 * 75,
+            ..Default::default()
+        };
         let p = super::estimated_miss_penalty(&c, &latency);
         assert!((p - 75.0).abs() < 1e-9, "{p}");
         // No misses: fall back to the unoverlapped DRAM latency.

@@ -29,7 +29,9 @@
 //!                   bit-identical at every value
 //! ```
 //!
-//! A missing or unknown command prints the usage and exits with status 2.
+//! Figures and `all` combine into one pass; any other command runs alone.
+//! A missing or unknown command, or a second command beside one that runs
+//! alone, prints the usage and exits with status 2.
 
 use std::fs;
 use std::path::Path;
@@ -154,17 +156,31 @@ fn main() {
     if args.is_empty() {
         usage_error("no command given");
     }
+    let mut commands = Vec::new();
     let mut words = args.iter().map(String::as_str);
     while let Some(word) = words.next() {
         let skip = match word {
-            "--axis" | "--cache" | "--max-mean-error" | "occupancy" => 1,
-            "dump" => 3,
+            "--axis" | "--cache" | "--max-mean-error" => 1,
             _ if word.starts_with("--") => 0,
-            _ if FIGURES.contains(&word) || COMMANDS.iter().any(|(name, _)| *name == word) => 0,
+            _ if FIGURES.contains(&word) || COMMANDS.iter().any(|(name, _)| *name == word) => {
+                commands.push(word);
+                match word {
+                    "occupancy" => 1,
+                    "dump" => 3,
+                    _ => 0,
+                }
+            }
             _ => usage_error(&format!("unknown command `{word}`")),
         };
         for _ in 0..skip {
             words.next();
+        }
+    }
+    // Figures and `all` combine into one figure pass; any other command
+    // runs alone.
+    if commands.len() > 1 {
+        if let Some(alone) = commands.iter().find(|c| **c != "all" && !FIGURES.contains(c)) {
+            usage_error(&format!("`{alone}` runs alone, but got `{}`", commands.join(" ")));
         }
     }
 

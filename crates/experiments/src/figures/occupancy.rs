@@ -24,13 +24,8 @@ pub fn occupancy_series(
     scheme: &Scheme,
 ) -> Vec<Vec<f64>> {
     let bench = suite::by_name(bench_name).unwrap_or_else(|| panic!("unknown benchmark {bench_name}"));
-    let spec = if bench.threads.len() == cfg.system.cores {
-        bench
-    } else {
-        bench.with_threads(cfg.system.cores)
-    };
-    let streams = spec.build_streams(&cfg.system, cfg.scale, cfg.seed);
-    let mut sim = Simulator::new(cfg.system, streams);
+    let spec = cfg.normalized(&bench);
+    let mut sim = Simulator::new(cfg.system, cfg.streams(&spec));
     sim.set_replacement(cfg.replacement);
     let mut policy = scheme.policy();
     let threads = cfg.system.cores;

@@ -2,7 +2,7 @@
 //! Figure 15 (runtime CPI models + the chosen partition).
 
 use icp_cmp_sim::Simulator;
-use icp_core::{IntraAppRuntime, ModelBasedPolicy};
+use icp_core::{ExecutionOutcome, IntraAppRuntime, ModelBasedPolicy};
 use icp_workloads::suite;
 
 use crate::runner::{ExperimentConfig, Scheme};
@@ -49,20 +49,21 @@ pub fn fig10_way_sensitivity(cfg: &ExperimentConfig) -> Table {
     table
 }
 
+/// The model-based SWIM run both Figure 15 renderings read: the outcome
+/// and the runtime whose policy holds the learned CPI models.
+fn fig15_run(cfg: &ExperimentConfig) -> (ExecutionOutcome, IntraAppRuntime<ModelBasedPolicy>) {
+    let spec = cfg.normalized(&suite::swim());
+    let mut sim = Simulator::new(cfg.system, cfg.streams(&spec));
+    let mut runtime = IntraAppRuntime::new(ModelBasedPolicy::new(), &cfg.system);
+    let out = runtime.execute(&mut sim);
+    (out, runtime)
+}
+
 /// Figure 15: the per-thread CPI-vs-ways models a dynamic run learns, plus
 /// the partition the hill-climb chose. Sampled at powers of two plus the
 /// chosen allocation.
 pub fn fig15_cpi_models(cfg: &ExperimentConfig) -> Table {
-    let bench = suite::swim();
-    let spec = if bench.threads.len() == cfg.system.cores {
-        bench
-    } else {
-        bench.with_threads(cfg.system.cores)
-    };
-    let streams = spec.build_streams(&cfg.system, cfg.scale, cfg.seed);
-    let mut sim = Simulator::new(cfg.system, streams);
-    let mut runtime = IntraAppRuntime::new(ModelBasedPolicy::new(), &cfg.system);
-    let out = runtime.execute(&mut sim);
+    let (out, runtime) = fig15_run(cfg);
     let policy = runtime.policy();
     let threads = out.thread_totals.len();
 
@@ -95,16 +96,7 @@ pub fn fig15_cpi_models(cfg: &ExperimentConfig) -> Table {
 /// Line-chart rendering of the Figure 15 models: each thread's learned
 /// CPI-vs-ways curve sampled across the whole way range.
 pub fn fig15_chart(cfg: &ExperimentConfig) -> crate::chart::LineChart {
-    let bench = suite::swim();
-    let spec = if bench.threads.len() == cfg.system.cores {
-        bench
-    } else {
-        bench.with_threads(cfg.system.cores)
-    };
-    let streams = spec.build_streams(&cfg.system, cfg.scale, cfg.seed);
-    let mut sim = Simulator::new(cfg.system, streams);
-    let mut runtime = IntraAppRuntime::new(ModelBasedPolicy::new(), &cfg.system);
-    let _ = runtime.execute(&mut sim);
+    let (_, runtime) = fig15_run(cfg);
     let policy = runtime.policy();
     let mut c = crate::chart::LineChart::new(
         "Figure 15 (chart): learned CPI-vs-ways models",

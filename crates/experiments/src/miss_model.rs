@@ -380,8 +380,8 @@ mod tests {
         }
         assert_eq!(ways.iter().sum::<u32>(), total);
         let out = cfg.run(&suite::swim(), &Scheme::StaticCustom(ways.clone()));
-        for t in 0..n {
-            let predicted = p.predict_thread_misses(t, ways[t] as f64);
+        for (t, &w) in ways.iter().enumerate() {
+            let predicted = p.predict_thread_misses(t, w as f64);
             let actual = out.thread_totals[t].l2_misses as f64;
             let rel = (predicted - actual).abs() / actual.max(1.0);
             assert!(

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn matches_modulo_for_random_operands() {
-        let mut rng = Xoshiro256::seed_from_u64(0xFA57_0D);
+        let mut rng = Xoshiro256::seed_from_u64(0xFA_570D);
         for _ in 0..200 {
             let d = rng.next_bounded(FAST_MAX_D) + 1;
             let m = FastMod::new(d);
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn large_divisors_fall_back_exactly() {
-        let mut rng = Xoshiro256::seed_from_u64(0xFA57_0E);
+        let mut rng = Xoshiro256::seed_from_u64(0xFA_570E);
         for d in [FAST_MAX_D + 1, 1 << 20, u64::MAX] {
             let m = FastMod::new(d);
             for _ in 0..100 {

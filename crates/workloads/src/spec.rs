@@ -229,7 +229,9 @@ impl BenchmarkSpec {
             .collect()
     }
 
-    /// Materialises every thread's stream once into shared packed traces.
+    /// Materialises every thread's stream once into shared packed traces,
+    /// with generation fanned over producer threads leased from the process
+    /// core budget ([`icp_cmp_sim::budget`]).
     ///
     /// This is the generate-once half of the record-once/simulate-many
     /// pattern: each returned trace can serve any number of zero-copy
@@ -238,32 +240,16 @@ impl BenchmarkSpec {
     /// paid exactly once. `max_events` bounds each thread's recording (see
     /// [`PackedTrace::record`]); pass `usize::MAX` for the full run.
     ///
-    /// # Panics
-    /// Same conditions as [`Self::build_streams`].
-    pub fn pack_streams(
-        &self,
-        cfg: &SystemConfig,
-        scale: WorkloadScale,
-        seed: u64,
-        max_events: usize,
-    ) -> Vec<Arc<PackedTrace>> {
-        self.build_streams(cfg, scale, seed)
-            .into_iter()
-            .map(|mut s| Arc::new(PackedTrace::record(&mut s, max_events)))
-            .collect()
-    }
-
-    /// [`Self::pack_streams`] with generation fanned over producer threads
-    /// leased from the process core budget ([`icp_cmp_sim::budget`]).
-    ///
     /// Thread streams are seeded from independent forks of the master RNG,
     /// so their recordings are order-independent: each producer generates
     /// a contiguous chunk of streams straight into packed columns, and
-    /// concatenating chunks in thread order yields exactly the traces
-    /// `pack_streams` would produce (asserted by the
-    /// `parallel_pack_matches_sequential` test). Up to `threads - 1` extra
-    /// workers are leased and returned at the join; with a dry pool the
-    /// caller generates everything itself — bit-identical either way.
+    /// concatenating chunks in thread order yields exactly the traces a
+    /// single thread would record. Up to `threads - 1` extra workers are
+    /// leased and returned at the join; with a dry pool the caller
+    /// generates everything itself — bit-identical either way. The serial
+    /// reference is this call under
+    /// `budget::scoped(CoreBudget::new(1), ..)` (asserted by the
+    /// `parallel_pack_matches_one_core_budget` test).
     ///
     /// # Panics
     /// Same conditions as [`Self::build_streams`].
@@ -412,16 +398,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pack_matches_sequential() {
+    fn parallel_pack_matches_one_core_budget() {
+        use icp_cmp_sim::budget::{self, CoreBudget};
+
         let s = sample_spec();
         let mut cfg = SystemConfig::scaled_down();
         cfg.cores = s.threads.len();
         for max_events in [usize::MAX, 100] {
-            let seq = s.pack_streams(&cfg, WorkloadScale::Test, 9, max_events);
-            let par = s.pack_streams_parallel(&cfg, WorkloadScale::Test, 9, max_events);
-            assert_eq!(seq.len(), par.len());
-            for (t, (a, b)) in seq.iter().zip(par.iter()).enumerate() {
-                assert_eq!(a.to_events(), b.to_events(), "thread {t} max_events {max_events}");
+            let pack = || s.pack_streams_parallel(&cfg, WorkloadScale::Test, 9, max_events);
+            let serial = budget::scoped(CoreBudget::new(1), pack);
+            let parallel = budget::scoped(CoreBudget::new(2), pack);
+            assert_eq!(serial.len(), parallel.len());
+            for (t, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
+                assert_eq!(a, b, "thread {t} max_events {max_events}");
             }
         }
     }

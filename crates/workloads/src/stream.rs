@@ -9,8 +9,8 @@
 //! the paper's Figure 1.
 //!
 //! Generation is *columnar end to end*: the hot path
-//! ([`SyntheticStream::fill_packed_batch`]) writes gap/addr/mlp/write
-//! columns straight into a [`PackedBlock`], drawing its randomness from a
+//! ([`AccessStream::fill_packed`]) writes gap/addr/mlp/write columns
+//! straight into a [`PackedTrace`] chunk, drawing its randomness from a
 //! [`BufferedRng`] scratch filled in bulk — no per-event 24-byte
 //! [`ThreadEvent`] is ever materialised. The scalar `generate` loop remains
 //! as the reference path; both draw through the same buffered RNG, so the
@@ -18,7 +18,7 @@
 //! `stream_equivalence` suite).
 
 use icp_cmp_sim::stream::{AccessStream, ThreadEvent};
-use icp_cmp_sim::{PackedBlock, SystemConfig};
+use icp_cmp_sim::{PackedTrace, SystemConfig};
 use icp_hot_path::{deterministic, hot_path};
 use icp_numeric::{BufferedRng, FastMod, Zipf};
 
@@ -177,8 +177,8 @@ impl SyntheticStream {
         }
     }
 
-    /// Generates one event. This is the statically-dispatched core of both
-    /// `next_event` and the native `fill_batch`; the current phase is
+    /// Generates one event: the scalar reference behind `next_event`, which
+    /// the columnar `fill_packed` is tested against. The current phase is
     /// borrowed in place (no per-event clone of the sampling state).
     #[inline]
     fn generate(&mut self) -> ThreadEvent {
@@ -221,41 +221,11 @@ impl SyntheticStream {
         ThreadEvent::Access { gap, addr, write, mlp_tenths }
     }
 
-    /// Columnar generation: clears `out` and writes up to `cap` events
-    /// (accesses plus barriers) straight into its packed columns, raising
-    /// the block's `finished` flag when the stream ends — the native
-    /// [`AccessStream::fill_packed`] path. Draws come from the same
-    /// buffered RNG as [`Self::generate`] in the same order, so mixing the
-    /// scalar and columnar APIs on one stream still yields the one
-    /// canonical event sequence.
-    #[deterministic]
-    pub fn fill_packed_batch(&mut self, out: &mut PackedBlock, cap: usize) {
-        out.clear();
-        while out.len() < cap {
-            if self.finished {
-                out.set_finished(true);
-                return;
-            }
-            if self.insts_left_in_section == 0 {
-                self.sections_left -= 1;
-                if self.sections_left == 0 {
-                    self.finished = true;
-                    out.set_finished(true);
-                    return;
-                }
-                self.insts_left_in_section = self.section_budget;
-                out.push_barrier();
-                continue;
-            }
-            self.gen_accesses(out, cap);
-        }
-    }
-
-    /// The columnar hot loop: generates accesses until the block holds
+    /// The columnar hot loop: generates accesses until the chunk holds
     /// `cap` events or the section budget runs out (section and stream
-    /// boundaries are the outer loop's job).
+    /// boundaries are `fill_packed`'s job).
     #[hot_path]
-    fn gen_accesses(&mut self, out: &mut PackedBlock, cap: usize) {
+    fn gen_accesses(&mut self, out: &mut PackedTrace, cap: usize) {
         while out.len() < cap && self.insts_left_in_section > 0 {
             let phase = &self.phases[self.cur_phase];
             let mut gap = self.rng.next_bounded(phase.gap_bound) as u32;
@@ -297,25 +267,31 @@ impl AccessStream for SyntheticStream {
         self.generate()
     }
 
-    /// Native batch generation: one virtual call covers a whole buffer of
-    /// statically-dispatched `generate` calls.
-    fn fill_batch(&mut self, out: &mut [ThreadEvent]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            let e = self.generate();
-            out[n] = e;
-            n += 1;
-            if matches!(e, ThreadEvent::Finished) {
-                break;
+    /// Columnar generation: events are written straight into the packed
+    /// columns with no intermediate [`ThreadEvent`]. Draws come from the
+    /// same buffered RNG as `generate` in the same order, so mixing the
+    /// scalar and columnar APIs on one stream still yields the one
+    /// canonical event sequence.
+    #[deterministic]
+    fn fill_packed(&mut self, out: &mut PackedTrace, cap: usize) -> bool {
+        out.clear();
+        while out.len() < cap {
+            if self.finished {
+                return true;
             }
+            if self.insts_left_in_section == 0 {
+                self.sections_left -= 1;
+                if self.sections_left == 0 {
+                    self.finished = true;
+                    return true;
+                }
+                self.insts_left_in_section = self.section_budget;
+                out.push_barrier();
+                continue;
+            }
+            self.gen_accesses(out, cap);
         }
-        n
-    }
-
-    /// Native columnar generation: events are written straight into the
-    /// packed columns with no intermediate [`ThreadEvent`] buffer.
-    fn fill_packed(&mut self, out: &mut PackedBlock, cap: usize) {
-        self.fill_packed_batch(out, cap);
+        false
     }
 }
 
@@ -383,26 +359,6 @@ mod tests {
         let mut s2 = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 42);
         for _ in 0..2000 {
             assert_eq!(s1.next_event(), s2.next_event());
-        }
-    }
-
-    #[test]
-    fn fill_batch_matches_next_event_sequence() {
-        let b = spec();
-        let c = cfg();
-        let mut batched = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 13);
-        let mut single = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 13);
-        // Odd buffer size so batch boundaries never align with sections.
-        let mut buf = [ThreadEvent::Finished; 17];
-        loop {
-            let n = batched.fill_batch(&mut buf);
-            assert!(n > 0);
-            for &e in &buf[..n] {
-                assert_eq!(e, single.next_event());
-            }
-            if matches!(buf[n - 1], ThreadEvent::Finished) {
-                break;
-            }
         }
     }
 
@@ -574,19 +530,21 @@ mod tests {
         assert_eq!(scale_insts(0, 10.0), 1); // clamped to at least 1
     }
 
-    /// Drains `s` through `fill_packed_batch` with block capacity `cap`,
-    /// re-expanding every block into the scalar event sequence.
+    /// Drains `s` through `fill_packed` with chunk capacity `cap`,
+    /// re-expanding every chunk into the scalar event sequence (the end
+    /// rendered as a trailing `Finished`).
     fn drain_packed(s: &mut SyntheticStream, cap: usize) -> Vec<ThreadEvent> {
         let mut out = Vec::new();
-        let mut block = PackedBlock::with_capacity(cap);
+        let mut chunk = PackedTrace::with_capacity(cap);
         loop {
-            s.fill_packed_batch(&mut block, cap);
-            assert!(block.len() <= cap, "fill_packed_batch overshot its cap");
-            out.extend(block.to_events());
-            if block.finished() {
+            let finished = s.fill_packed(&mut chunk, cap);
+            assert!(chunk.len() <= cap, "fill_packed overshot its cap");
+            out.extend(chunk.to_events());
+            if finished {
+                out.push(ThreadEvent::Finished);
                 return out;
             }
-            assert!(!block.is_empty(), "unfinished block must carry events");
+            assert!(!chunk.is_empty(), "unfinished chunk must carry events");
         }
     }
 
@@ -594,8 +552,8 @@ mod tests {
     fn packed_generation_matches_scalar_generation() {
         let b = spec();
         let c = cfg();
-        // Odd capacities so block boundaries never align with section
-        // boundaries; 1 exercises the degenerate one-event block.
+        // Odd capacities so chunk boundaries never align with section
+        // boundaries; 1 exercises the degenerate one-event chunk.
         for cap in [1usize, 17, 64, 4096] {
             for (t, ts) in b.threads.iter().enumerate() {
                 let mut scalar =
@@ -606,9 +564,8 @@ mod tests {
                 for (i, &e) in events.iter().enumerate() {
                     assert_eq!(e, scalar.next_event(), "cap {cap} thread {t} event {i}");
                 }
-                assert_eq!(events.last(), Some(&ThreadEvent::Finished));
-                // Both streams stay Finished afterwards.
-                packed.fill_packed_batch(&mut PackedBlock::default(), 8);
+                // Both streams stay finished afterwards.
+                assert!(packed.fill_packed(&mut PackedTrace::new(), 8));
                 assert_eq!(scalar.next_event(), ThreadEvent::Finished);
             }
         }
@@ -616,32 +573,28 @@ mod tests {
 
     #[test]
     fn packed_and_scalar_apis_interleave_on_one_stream() {
-        // Alternating generate() and fill_packed_batch() on a single stream
-        // must still produce the one canonical sequence.
+        // Alternating generate() and fill_packed() on a single stream must
+        // still produce the one canonical sequence.
         let b = spec();
         let c = cfg();
         let mut mixed = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 3);
         let mut scalar = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 3);
-        let mut block = PackedBlock::default();
-        let mut finished = false;
-        while !finished {
+        let mut chunk = PackedTrace::new();
+        loop {
             for _ in 0..5 {
                 let e = mixed.generate();
                 assert_eq!(e, scalar.next_event());
                 if matches!(e, ThreadEvent::Finished) {
-                    finished = true;
-                    break;
+                    return;
                 }
+            }
+            let finished = mixed.fill_packed(&mut chunk, 13);
+            for e in chunk.to_events() {
+                assert_eq!(e, scalar.next_event());
             }
             if finished {
-                break;
-            }
-            mixed.fill_packed_batch(&mut block, 13);
-            for e in block.to_events() {
-                assert_eq!(e, scalar.next_event());
-                if matches!(e, ThreadEvent::Finished) {
-                    finished = true;
-                }
+                assert_eq!(scalar.next_event(), ThreadEvent::Finished);
+                return;
             }
         }
     }
@@ -652,9 +605,9 @@ mod tests {
         let c = cfg();
         let mut s = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 21);
         let mut probe = SyntheticStream::new(&b, &b.threads[0], 0, &c, WorkloadScale::Test, 21);
-        let mut block = PackedBlock::with_capacity(4);
-        s.fill_packed_batch(&mut block, 0);
-        assert!(block.is_empty() && !block.finished());
+        let mut chunk = PackedTrace::with_capacity(4);
+        assert!(!s.fill_packed(&mut chunk, 0));
+        assert!(chunk.is_empty());
         // The zero-cap call consumed nothing: streams still agree.
         for _ in 0..100 {
             assert_eq!(s.next_event(), probe.next_event());

@@ -1,22 +1,23 @@
-//! Batched vs per-event stream delivery must be bit-identical.
+//! Chunked vs per-event stream delivery must be bit-identical.
 //!
-//! The simulator pulls events through `AccessStream::fill_batch` into a
-//! per-core ring; generators implement it natively for throughput. Because
-//! streams are generation-only (the simulation never feeds state back into
-//! them), prefetching events into a ring must not change any simulated
-//! outcome. This suite forces the degenerate one-event-per-refill delivery
-//! through a wrapper stream and asserts that a seeded 4-thread workload
-//! produces exactly the same `IntervalReport` sequence and `GlobalStats`
-//! as native batched delivery, under both partitioning policies.
+//! The simulator refills a per-core ring through
+//! `AccessStream::fill_packed`, asking for up to 256 events at a time, and
+//! generators write those chunks natively for throughput. Because streams
+//! are generation-only (the simulation never feeds state back into them),
+//! prefetching events into a ring must not change any simulated outcome.
+//! This suite forces the degenerate one-event-per-refill delivery through
+//! a wrapper stream whose `fill_packed` hands over at most one event, and
+//! asserts that a seeded 4-thread workload produces exactly the same
+//! `IntervalReport` sequence and `GlobalStats` as native 256-event chunks,
+//! under both partitioning policies.
 
 use icp::runtime::{CpiProportionalPolicy, IntraAppRuntime, ModelBasedPolicy};
 use icp::sim::stream::{AccessStream, ThreadEvent};
-use icp::sim::{Simulator, SystemConfig};
+use icp::sim::{PackedTrace, Simulator, SystemConfig};
 use icp::workloads::{suite, BenchmarkSpec, WorkloadScale};
 
-/// Forces per-event delivery: every batch refill returns at most one event,
-/// so the simulator's ring degenerates to the pre-batching one-virtual-call-
-/// per-event regime.
+/// Forces per-event delivery: every ring refill carries at most one event,
+/// so the ring degenerates to one refill (and one virtual call) per event.
 struct OneAtATime<S>(S);
 
 impl<S: AccessStream> AccessStream for OneAtATime<S> {
@@ -24,12 +25,8 @@ impl<S: AccessStream> AccessStream for OneAtATime<S> {
         self.0.next_event()
     }
 
-    fn fill_batch(&mut self, out: &mut [ThreadEvent]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
-        out[0] = self.0.next_event();
-        1
+    fn fill_packed(&mut self, out: &mut PackedTrace, cap: usize) -> bool {
+        self.0.fill_packed(out, cap.min(1))
     }
 }
 

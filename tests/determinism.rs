@@ -20,8 +20,8 @@ use icp::sim::l2::equal_split;
 use icp::sim::slice::Llc;
 use icp::sim::stream::{AccessStream, ReplayStream};
 use icp::sim::{
-    CacheConfig, GlobalStats, Machine, Measurable, PackedBlock, PackedReplayStream, PackedTrace,
-    Simulator, SystemConfig, ThreadEvent,
+    CacheConfig, GlobalStats, Machine, Measurable, PackedTrace, Simulator, SystemConfig,
+    ThreadEvent,
 };
 use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadBuilder, WorkloadScale};
 
@@ -405,8 +405,12 @@ fn pinned_mix(threads: usize) -> BenchmarkSpec {
 fn pinned_interleaved_4t_digest() {
     let mut cfg = pinned_config(4);
     cfg.l2_banks = 8;
-    let traces =
-        pinned_mix(4).pack_streams(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
+    let traces = pinned_mix(4).pack_streams_parallel(
+        &cfg,
+        WorkloadScale::Figure,
+        PINNED_4T_SEED,
+        PINNED_EVENTS,
+    );
     let replays: Vec<Box<dyn AccessStream>> = traces
         .iter()
         .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
@@ -444,30 +448,27 @@ fn trace_counters(traces: &[Arc<PackedTrace>]) -> Vec<(u64, u64, u64)> {
 }
 
 /// Generation of the 4-thread mix carries the same content whether packed
-/// serially, packed on parallel producers, or drained through recycled
-/// columnar blocks.
+/// on one core, packed on parallel producers, or drained through a
+/// recycled columnar chunk.
 #[test]
 fn pinned_generation_digest_across_paths() {
     const PINNED: u64 = 0x4af4_3501_94b7_5b21;
     let mut cfg = pinned_config(4);
     cfg.l2_banks = 8;
     let spec = pinned_mix(4);
-    let serial = spec.pack_streams(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
-    assert_eq!(
-        generation_digest(&trace_counters(&serial)),
-        PINNED,
-        "pack_streams"
-    );
-    let parallel =
-        spec.pack_streams_parallel(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS);
-    assert_eq!(
-        generation_digest(&trace_counters(&parallel)),
-        PINNED,
-        "pack_streams_parallel"
-    );
+    for total in [1usize, 2] {
+        let traces = budget::scoped(CoreBudget::new(total), || {
+            spec.pack_streams_parallel(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS)
+        });
+        assert_eq!(
+            generation_digest(&trace_counters(&traces)),
+            PINNED,
+            "pack_streams_parallel at budget {total}"
+        );
+    }
 
     const BATCH: usize = 4096;
-    let mut block = PackedBlock::with_capacity(BATCH);
+    let mut chunk = PackedTrace::with_capacity(BATCH);
     let drained: Vec<(u64, u64, u64)> = spec
         .threads
         .iter()
@@ -478,12 +479,12 @@ fn pinned_generation_digest_across_paths() {
             let (mut insts, mut accs, mut bars) = (0u64, 0u64, 0u64);
             let mut remaining = PINNED_EVENTS;
             loop {
-                stream.fill_packed(&mut block, BATCH.min(remaining));
-                remaining -= block.len();
-                insts += block.gaps().iter().map(|&g| g as u64 + 1).sum::<u64>();
-                accs += block.accesses() as u64;
-                bars += block.barrier_count() as u64;
-                if block.finished() || block.is_empty() {
+                let finished = stream.fill_packed(&mut chunk, BATCH.min(remaining));
+                remaining -= chunk.len();
+                insts += chunk.instructions();
+                accs += chunk.accesses() as u64;
+                bars += chunk.barriers() as u64;
+                if finished || chunk.is_empty() {
                     break;
                 }
             }
@@ -500,9 +501,9 @@ fn pinned_sliced_digest(cores: usize, slices: u32) -> u64 {
     cfg.l2_banks = 8;
     cfg.llc = LlcConfig::sliced(slices);
     let streams: Vec<_> = pinned_mix(cores)
-        .pack_streams(&cfg, WorkloadScale::Figure, 0x511C_ED16, PINNED_EVENTS)
-        .into_iter()
-        .map(PackedReplayStream::new)
+        .pack_streams_parallel(&cfg, WorkloadScale::Figure, 0x511C_ED16, PINNED_EVENTS)
+        .iter()
+        .map(PackedTrace::stream)
         .collect();
     let mut sim = Llc::new(cfg, streams);
     sim.set_partition(&equal_split(cfg.l2.ways, cfg.cores));

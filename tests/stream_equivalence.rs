@@ -12,9 +12,10 @@
 //! plus the wall clock must match inline generation exactly.
 
 use icp::experiments::{ExperimentConfig, Scheme, TraceCache};
+use icp::sim::budget::{self, CoreBudget};
 use icp::sim::l2::equal_split;
 use icp::sim::stream::{AccessStream, ThreadEvent};
-use icp::sim::{GlobalStats, PackedBlock, PackedTrace, Simulator, SystemConfig};
+use icp::sim::{GlobalStats, PackedTrace, Simulator, SystemConfig};
 use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadScale};
 
 const SEED: u64 = 0x5EED_0004;
@@ -35,8 +36,12 @@ fn inline_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn Acces
     spec.build_streams(cfg, WorkloadScale::Test, SEED)
 }
 
+/// Replays of traces packed serially: the packer under a one-core budget.
 fn packed_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
-    spec.pack_streams(cfg, WorkloadScale::Test, SEED, usize::MAX)
+    let traces = budget::scoped(CoreBudget::new(1), || {
+        spec.pack_streams_parallel(cfg, WorkloadScale::Test, SEED, usize::MAX)
+    });
+    traces
         .iter()
         .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
         .collect()
@@ -55,29 +60,29 @@ fn packed_replay_identical_across_suite() {
     }
 }
 
-/// Columnar generation: draining [`AccessStream::fill_packed`] blocks out
+/// Columnar generation: draining [`AccessStream::fill_packed`] chunks out
 /// of a synthetic stream yields exactly the scalar `next_event` sequence —
-/// for every thread of every suite workload, across block boundaries that
+/// for every thread of every suite workload, across chunk boundaries that
 /// deliberately never align with section boundaries.
 #[test]
 fn columnar_generation_identical_across_suite() {
     let cfg = SystemConfig::scaled_down();
-    let mut block = PackedBlock::with_capacity(97);
+    let mut chunk = PackedTrace::with_capacity(97);
     for spec in suite::all() {
         for (t, ts) in spec.threads.iter().enumerate() {
             let mut packed = SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Test, SEED);
             let mut scalar = SyntheticStream::new(&spec, ts, t, &cfg, WorkloadScale::Test, SEED);
             let mut i = 0usize;
             loop {
-                packed.fill_packed(&mut block, 97);
-                for e in block.to_events() {
+                let finished = packed.fill_packed(&mut chunk, 97);
+                for e in chunk.to_events() {
                     assert_eq!(e, scalar.next_event(), "{} thread {t} event {i}", spec.name);
                     i += 1;
                 }
-                if block.finished() {
+                if finished {
                     break;
                 }
-                assert!(!block.is_empty(), "{} thread {t}: stalled unfinished", spec.name);
+                assert!(!chunk.is_empty(), "{} thread {t}: stalled unfinished", spec.name);
             }
             assert_eq!(scalar.next_event(), ThreadEvent::Finished, "{} thread {t}", spec.name);
         }
