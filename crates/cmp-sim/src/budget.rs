@@ -199,6 +199,50 @@ pub fn scoped<R>(budget: Arc<CoreBudget>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `job(i)` for every `i` in `0..n` on up to `n` threads and returns
+/// the outputs in index order. Leases up to `n - 1` extra tokens from the
+/// [`current`] budget and gives each granted worker a contiguous chunk of
+/// indices on a scoped thread, under the caller's budget, while the caller
+/// works the first chunk; the tokens return at the join. With a dry pool
+/// the caller runs every job itself, in index order.
+pub fn fan_out<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let budget = current();
+    let lease = budget.lease(n.saturating_sub(1));
+    let workers = (1 + lease.tokens()).min(n.max(1));
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    // Chunk boundaries: concatenated in chunk order, the chunks are the
+    // index order.
+    let (base, extra) = (n / workers, n % workers);
+    let mut starts = Vec::with_capacity(workers + 1);
+    let mut at = 0;
+    for i in 0..workers {
+        starts.push(at);
+        at += base + usize::from(i < extra);
+    }
+    starts.push(n);
+    let job = &job;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = starts[1..]
+            .windows(2)
+            .map(|w| {
+                let (range, budget) = (w[0]..w[1], Arc::clone(&budget));
+                scope.spawn(move || scoped(budget, || range.map(job).collect::<Vec<T>>()))
+            })
+            .collect();
+        let mut out: Vec<T> = (starts[0]..starts[1]).map(job).collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+    // `lease` drops here: the tokens return at the join.
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +293,24 @@ mod tests {
         assert_eq!(b.peak_threads(), 1);
         let _d = b.lease(3);
         assert_eq!(b.peak_threads(), 4);
+    }
+
+    #[test]
+    fn fan_out_keeps_index_order_and_returns_its_tokens() {
+        for total in [1usize, 2, 3, 8] {
+            let b = CoreBudget::new(total);
+            for n in [0usize, 1, 2, 5, 16] {
+                let out = scoped(Arc::clone(&b), || {
+                    fan_out(n, |i| {
+                        assert_eq!(current().total(), total, "workers run under its budget");
+                        i * 3
+                    })
+                });
+                assert_eq!(out, (0..n).map(|i| i * 3).collect::<Vec<_>>(), "budget {total}, n {n}");
+                assert_eq!(b.spare(), total - 1, "budget {total}, n {n}: tokens leaked");
+            }
+            assert!(b.peak_threads() <= total);
+        }
     }
 
     #[test]

@@ -282,6 +282,35 @@ impl PackedTrace {
         self.mlps.extend_from_slice(&src.mlps[from..to]);
     }
 
+    /// Appends each access to the trace of `out` that `home` picks for its
+    /// address, and each barrier to every trace of `out`: the sliced LLC's
+    /// demux, read straight from the columns.
+    pub(crate) fn demux_into(&self, out: &mut [PackedTrace], home: impl Fn(u64) -> usize) {
+        let mut nb = 0;
+        for i in 0..=self.gaps.len() {
+            while self.barriers.get(nb) == Some(&(i as u64)) {
+                for t in out.iter_mut() {
+                    t.push_barrier();
+                }
+                nb += 1;
+            }
+            if i < self.gaps.len() {
+                let addr = self.addrs[i];
+                out[home(addr)].push_access(self.gaps[i], addr, self.write_at(i), self.mlps[i]);
+            }
+        }
+    }
+
+    /// Releases spare column capacity, so [`Self::packed_bytes`] counts
+    /// only the packed events.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.gaps.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.mlps.shrink_to_fit();
+        self.writes.shrink_to_fit();
+        self.barriers.shrink_to_fit();
+    }
+
     /// Appends one access.
     #[inline]
     pub fn push_access(&mut self, gap: u32, addr: u64, write: bool, mlp_tenths: u16) {

@@ -24,14 +24,18 @@
 //!
 //! # Execution
 //!
-//! Each core's stream is demuxed once, at construction, into `N` per-slice
-//! packed sub-traces: an access goes to its home slice's sub-trace together
-//! with its instruction gap, and barriers are replicated into every
-//! sub-trace so cross-core ordering around a barrier holds within each
-//! slice. Slice `j` is a full [`Simulator`] over the slice geometry that
-//! replays every core's slice-`j` sub-trace and retires
-//! `ceil(interval / N)` instructions per interval, so one merged interval
-//! covers the configured instruction budget.
+//! Each core's stream is split once into `N` per-slice packed sub-traces
+//! ([`SliceTopology::split`]): an access goes to its home slice's
+//! sub-trace together with its instruction gap, and barriers are
+//! replicated into every sub-trace so cross-core ordering around a barrier
+//! holds within each slice. [`Llc::new`] splits the streams it is given;
+//! [`Llc::from_traces`] replays sub-traces split earlier, behind shared
+//! [`Arc`]s, so every machine built over one workload (one per scheme in
+//! the experiment trace cache) shares one split and copies nothing. At
+//! `N = 1` the split is the whole trace. Slice `j` is a full [`Simulator`]
+//! over the slice geometry that replays every core's slice-`j` sub-trace
+//! and retires `ceil(interval / N)` instructions per interval, so one
+//! merged interval covers the configured instruction budget.
 //!
 //! Between interval boundaries the slices share no mutable state. Each
 //! interval leases up to `N - 1` extra workers from the process core budget
@@ -81,15 +85,15 @@ use crate::packed::PackedTrace;
 use crate::machine::{Machine, Measurable};
 use crate::simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 use crate::stats::{GlobalStats, ThreadCounters};
-use crate::stream::{AccessStream, ReplayStream, ThreadEvent};
+use crate::stream::{AccessStream, ReplayStream};
 use crate::umon::UtilityMonitor;
 use crate::ThreadId;
 
 /// The 64-bit golden-ratio constant of the Fibonacci multiplicative hash.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Events drained per demux refill.
-const DEMUX_BATCH: usize = 4096;
+/// Events drained per split refill.
+const SPLIT_BATCH: usize = 4096;
 
 /// Address-to-slice mapping plus the per-slice geometry, precomputed from
 /// a [`SystemConfig`].
@@ -144,37 +148,71 @@ impl SliceTopology {
         let line = addr >> self.line_shift;
         (line.wrapping_mul(GOLDEN_GAMMA) >> (64 - self.slice_bits)) as usize
     }
-}
 
-/// Demuxes one core's event stream into one packed sub-trace per slice.
-/// Each access travels to its home slice with its instruction gap;
-/// barriers are replicated into every sub-trace.
-#[deterministic]
-fn demux_stream<S: AccessStream>(mut stream: S, topology: &SliceTopology) -> Vec<PackedTrace> {
-    let mut out: Vec<PackedTrace> =
-        (0..topology.num_slices()).map(|_| PackedTrace::new()).collect();
-    let mut chunk = PackedTrace::with_capacity(DEMUX_BATCH);
-    loop {
-        let finished = stream.fill_packed(&mut chunk, DEMUX_BATCH);
-        for e in chunk.to_events() {
-            match e {
-                ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
-                    out[topology.slice_of(addr)].push_access(gap, addr, write, mlp_tenths);
-                }
-                ThreadEvent::Barrier => {
-                    for t in &mut out {
-                        t.push_barrier();
-                    }
-                }
-                ThreadEvent::Finished => {}
+    /// Records one core's stream straight into its per-slice packed
+    /// sub-traces, drained through the columnar
+    /// [`AccessStream::fill_packed`] path: each access goes to its home
+    /// slice's sub-trace with its instruction gap, and every barrier is
+    /// replicated into every sub-trace. At one slice this is
+    /// [`PackedTrace::record`] of the whole stream. [`Self::join`] is the
+    /// inverse.
+    #[deterministic]
+    pub fn split<S: AccessStream>(&self, stream: &mut S) -> Vec<Arc<PackedTrace>> {
+        if self.slices <= 1 {
+            return vec![Arc::new(PackedTrace::record(stream, usize::MAX))];
+        }
+        let mut subs: Vec<PackedTrace> =
+            (0..self.num_slices()).map(|_| PackedTrace::new()).collect();
+        let mut chunk = PackedTrace::with_capacity(SPLIT_BATCH);
+        loop {
+            let finished = stream.fill_packed(&mut chunk, SPLIT_BATCH);
+            chunk.demux_into(&mut subs, |addr| self.slice_of(addr));
+            if finished {
+                break;
+            }
+            assert!(!chunk.is_empty(), "stream stalled without finishing");
+        }
+        // Shared for the rest of the run: spare growth capacity is waste.
+        subs.into_iter()
+            .map(|mut sub| {
+                sub.shrink_to_fit();
+                Arc::new(sub)
+            })
+            .collect()
+    }
+
+    /// The inverse of [`Self::split`]: one core's stream whose split is
+    /// `subs` again. Between consecutive barriers it takes slice 0's
+    /// accesses, then slice 1's, and so on, so `split(join(subs)) == subs`
+    /// holds although the order *across* slices within a barrier segment
+    /// is not the recorded one (no slice observes it). At one slice the
+    /// sub-trace is the whole trace and comes back without a copy.
+    ///
+    /// # Panics
+    /// Panics unless `subs` holds one sub-trace per slice.
+    #[deterministic]
+    pub fn join(&self, subs: &[Arc<PackedTrace>]) -> Arc<PackedTrace> {
+        assert_eq!(subs.len(), self.num_slices(), "one sub-trace per slice");
+        if let [whole] = subs {
+            return Arc::clone(whole);
+        }
+        // A split replicates every barrier, so each sub-trace carries the
+        // same count.
+        let barriers = subs.iter().map(|s| s.barriers()).min().unwrap_or(0);
+        let mut whole = PackedTrace::with_capacity(subs.iter().map(|s| s.accesses()).sum());
+        let mut from = vec![0; subs.len()];
+        for b in 0..=barriers {
+            for (sub, at) in subs.iter().zip(&mut from) {
+                let to = if b < barriers { sub.barrier_at(b) } else { sub.accesses() };
+                whole.extend_accesses(sub, *at, to);
+                *at = to;
+            }
+            if b < barriers {
+                whole.push_barrier();
             }
         }
-        if finished {
-            break;
-        }
-        assert!(!chunk.is_empty(), "stream stalled without finishing");
+        Arc::new(whole)
     }
-    out
 }
 
 /// A sliced-LLC CMP machine — see the [module docs](self) for the model,
@@ -218,18 +256,35 @@ pub struct Llc {
 
 impl Llc {
     /// Builds a sliced-LLC machine from `cfg` (slice count taken from
-    /// `cfg.llc`), demuxing every core's stream into its per-slice
-    /// sub-traces up front.
+    /// `cfg.llc`), splitting every core's stream into its per-slice
+    /// sub-traces up front ([`SliceTopology::split`], then
+    /// [`Llc::from_traces`]).
     ///
     /// # Panics
     /// Panics if the config is invalid or the stream count doesn't match
     /// `cfg.cores`.
     #[deterministic]
     pub fn new<S: AccessStream>(cfg: SystemConfig, streams: Vec<S>) -> Self {
-        cfg.validate();
-        assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let topology = SliceTopology::of(&cfg);
+        let traces: Vec<Vec<Arc<PackedTrace>>> =
+            streams.into_iter().map(|mut s| topology.split(&mut s)).collect();
+        Llc::from_traces(cfg, &traces)
+    }
+
+    /// Builds a sliced-LLC machine from `cfg` over shared per-slice
+    /// sub-traces: `traces[t]` is core `t`'s [`SliceTopology::split`] for
+    /// `cfg`'s topology. Each slice replays the shared columns, so any
+    /// number of machines over one split copy nothing.
+    ///
+    /// # Panics
+    /// Panics if the config is invalid, or `traces` does not hold one split
+    /// per core with one sub-trace per slice.
+    #[deterministic]
+    pub fn from_traces(cfg: SystemConfig, traces: &[Vec<Arc<PackedTrace>>]) -> Self {
+        let topology = SliceTopology::of(&cfg);
+        assert_eq!(traces.len(), cfg.cores, "one stream per core");
         let n = topology.num_slices();
+        assert!(traces.iter().all(|subs| subs.len() == n), "one sub-trace per slice");
         // Each slice simulator runs the slice geometry with a 1/N share of
         // the interval budget (rounded up); the outer config keeps the full
         // geometry so merged reports and way quotas stay in whole-LLC
@@ -238,16 +293,10 @@ impl Llc {
         slice_cfg.l2 = topology.slice_l2();
         slice_cfg.llc = LlcConfig::monolithic();
         slice_cfg.interval_instructions = cfg.interval_instructions.div_ceil(n as u64);
-        // Demux core by core, then transpose: slice j replays every core's
-        // slice-j sub-trace.
-        let per_core: Vec<Vec<Arc<PackedTrace>>> = streams
-            .into_iter()
-            .map(|s| demux_stream(s, &topology).into_iter().map(Arc::new).collect())
-            .collect();
+        // Slice j replays every core's slice-j sub-trace.
         let slices = (0..n)
             .map(|j| {
-                let streams =
-                    per_core.iter().map(|traces| PackedTrace::stream(&traces[j])).collect();
+                let streams = traces.iter().map(|subs| PackedTrace::stream(&subs[j])).collect();
                 Simulator::from_streams(slice_cfg, streams)
             })
             .collect();
@@ -466,8 +515,13 @@ impl Machine for Llc {
         self.slices.iter().any(|s| s.umon().is_some())
     }
 
+    /// One slice lends its monitor; more slices merge theirs into an
+    /// owned one.
     fn umon_view(&self) -> Option<Cow<'_, UtilityMonitor>> {
-        self.merged_umon().map(Cow::Owned)
+        match self.slices.as_slice() {
+            [whole] => whole.umon().map(Cow::Borrowed),
+            _ => self.merged_umon().map(Cow::Owned),
+        }
     }
 
     fn decay_umon(&mut self) {

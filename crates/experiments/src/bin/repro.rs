@@ -43,16 +43,38 @@ use icp_experiments::table::Table;
 use icp_experiments::Scheme;
 use icp_workloads::WorkloadScale;
 
-fn emit(out_dir: Option<&Path>, id: &str, table: &Table) {
-    println!("{}", table.render());
-    if let Some(dir) = out_dir {
-        let _ = fs::write(dir.join(format!("{id}.txt")), table.render());
-        let _ = fs::write(dir.join(format!("{id}.csv")), table.to_csv());
-        let _ = fs::write(
-            dir.join(format!("{id}.json")),
-            icp_experiments::json::table_to_json(table).to_string(),
-        );
+/// The directory every command writes its outputs into.
+const RESULTS: &str = "results";
+
+/// Creates [`RESULTS`], or exits 1 naming it and the OS error.
+fn create_results_dir() {
+    if let Err(e) = fs::create_dir_all(RESULTS) {
+        output_failed("create", Path::new(RESULTS), &e);
     }
+}
+
+/// Writes `contents` to `results/<name>`, or exits 1 naming the path and
+/// the OS error.
+fn write_result(name: &str, contents: impl AsRef<[u8]>) {
+    let path = Path::new(RESULTS).join(name);
+    if let Err(e) = fs::write(&path, contents) {
+        output_failed("write", &path, &e);
+    }
+}
+
+/// Reports that `path` could not be created or written, with the OS error,
+/// and exits with status 1.
+fn output_failed(action: &str, path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("repro: cannot {action} {}: {e}", path.display());
+    std::process::exit(1);
+}
+
+/// Prints `table` and saves it as `results/<id>.{txt,csv,json}`.
+fn emit(id: &str, table: &Table) {
+    println!("{}", table.render());
+    write_result(&format!("{id}.txt"), table.render());
+    write_result(&format!("{id}.csv"), table.to_csv());
+    write_result(&format!("{id}.json"), icp_experiments::json::table_to_json(table).to_string());
 }
 
 /// Figure commands: any combination runs in one pass, `all` runs every one.
@@ -94,6 +116,26 @@ fn usage_error(msg: &str) -> ! {
     }
     eprintln!("options: --seed N  --cores N  --scale test|figure|paper  --jobs N");
     std::process::exit(2);
+}
+
+/// The schemes `repro dump` runs, named by their table labels.
+const DUMP_SCHEMES: [Scheme; 7] = [
+    Scheme::Shared,
+    Scheme::StaticEqual,
+    Scheme::CpiProportional,
+    Scheme::ModelBased,
+    Scheme::UcpThroughput,
+    Scheme::ModelThroughput,
+    Scheme::Fairness,
+];
+
+/// `name` if it is a suite benchmark; otherwise prints the usage and exits
+/// with status 2.
+fn known_benchmark(name: &str) -> &str {
+    if icp_workloads::suite::by_name(name).is_none() {
+        usage_error(&format!("unknown benchmark `{name}`"));
+    }
+    name
 }
 
 /// Pulls `--flag value` out of the argument list, returning the remainder.
@@ -185,19 +227,20 @@ fn main() {
     }
 
     if let Some(pos) = args.iter().position(|a| a == "dump") {
-        let bench = args.get(pos + 1).map(String::as_str).unwrap_or("swim");
-        let cfg = match args.get(pos + 3).and_then(|c| c.parse::<usize>().ok()) {
-            Some(n) => cfg.with_cores(n),
+        let operand = |i: usize| args.get(pos + i).map(String::as_str);
+        let bench = known_benchmark(operand(1).unwrap_or("swim"));
+        let scheme_name = operand(2).unwrap_or("model-based");
+        let scheme = DUMP_SCHEMES
+            .into_iter()
+            .find(|s| s.label() == scheme_name)
+            .unwrap_or_else(|| usage_error(&format!("unknown scheme `{scheme_name}`")));
+        let cfg = match operand(3) {
+            Some(cores) => cfg.with_cores(
+                cores.parse().ok().filter(|&n: &usize| n > 0).unwrap_or_else(|| {
+                    usage_error(&format!("dump expects a positive core count, got `{cores}`"))
+                }),
+            ),
             None => cfg,
-        };
-        let scheme = match args.get(pos + 2).map(String::as_str).unwrap_or("model-based") {
-            "shared" => Scheme::Shared,
-            "static-equal" => Scheme::StaticEqual,
-            "cpi-proportional" => Scheme::CpiProportional,
-            "ucp-throughput" => Scheme::UcpThroughput,
-            "model-throughput" => Scheme::ModelThroughput,
-            "fairness" => Scheme::Fairness,
-            _ => Scheme::ModelBased,
         };
         println!("{}", figures::interval_dump(&cfg, bench, &scheme).render());
         return;
@@ -205,9 +248,8 @@ fn main() {
 
     if args.iter().any(|a| a == "robustness") {
         eprintln!("[repro] running the suite under 5 seeds ...");
-        let _ = fs::create_dir_all("results");
+        create_results_dir();
         emit(
-            Some(Path::new("results")),
             "robustness",
             &figures::robustness_table(&cfg, &[1, 42, 1337, 9999, 31_415_926]),
         );
@@ -243,8 +285,8 @@ fn main() {
             &figures::improvement_chart("Figure 20 (chart): dynamic vs shared", &data, &data.shared)
                 .render(),
         );
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/REPORT.md", &doc);
+        create_results_dir();
+        write_result("REPORT.md", &doc);
         println!("{doc}");
         eprintln!("[repro] written to results/REPORT.md");
         return;
@@ -277,15 +319,14 @@ fn main() {
             None => icp_experiments::ResultCache::shared(),
         };
         let cfg = cfg.with_result_cache(cache.clone()).with_default_trace_cache();
-        let _ = fs::create_dir_all("results");
-        let out = Some(Path::new("results"));
+        create_results_dir();
         eprintln!("[repro] running sensitivity sweeps ({mode:?}) ...");
         let run_axis = |name: &str| match name {
-            "cache-size" => emit(out, "sweep_cache_size", &sweeps::sweep_cache_size_with(&cfg, mode)),
-            "thread-count" => emit(out, "sweep_thread_count", &sweeps::sweep_thread_count_with(&cfg, mode)),
-            "interval" => emit(out, "sweep_interval", &sweeps::sweep_interval_with(&cfg, mode)),
+            "cache-size" => emit("sweep_cache_size", &sweeps::sweep_cache_size_with(&cfg, mode)),
+            "thread-count" => emit("sweep_thread_count", &sweeps::sweep_thread_count_with(&cfg, mode)),
+            "interval" => emit("sweep_interval", &sweeps::sweep_interval_with(&cfg, mode)),
             "memory-latency" => {
-                emit(out, "sweep_memory_latency", &sweeps::sweep_memory_latency_with(&cfg, mode))
+                emit("sweep_memory_latency", &sweeps::sweep_memory_latency_with(&cfg, mode))
             }
             other => {
                 eprintln!("unknown axis {other} (expected cache-size|thread-count|interval|memory-latency)");
@@ -328,8 +369,8 @@ fn main() {
         let errors = figures::prediction_errors(&cfg);
         let table = figures::prediction_error_table(&cfg);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        emit(Some(Path::new("results")), "prediction_error", &table);
+        create_results_dir();
+        emit("prediction_error", &table);
         if let Some(limit) = max_mean {
             if errors.mean_pct() > limit {
                 eprintln!(
@@ -387,28 +428,27 @@ fn main() {
 
     if args.iter().any(|a| a == "ablations") {
         eprintln!("[repro] running the ablations ...");
-        let _ = fs::create_dir_all("results");
+        create_results_dir();
         for (id, table) in figures::ablation_tables(&cfg) {
-            emit(Some(Path::new("results")), id, &table);
+            emit(id, &table);
         }
         return;
     }
 
     if args.iter().any(|a| a == "occupancy") {
-        let bench = args.iter().skip_while(|a| *a != "occupancy").nth(1)
-            .cloned().unwrap_or_else(|| "mgrid".into());
-        println!("{}", figures::occupancy_table(&cfg, &bench).render());
-        println!("{}", figures::occupancy_chart(&cfg, &bench, &Scheme::Shared).render());
-        println!("{}", figures::occupancy_chart(&cfg, &bench, &Scheme::ModelBased).render());
+        let bench = args.iter().skip_while(|a| *a != "occupancy").nth(1);
+        let bench = known_benchmark(bench.map_or("mgrid", String::as_str));
+        println!("{}", figures::occupancy_table(&cfg, bench).render());
+        println!("{}", figures::occupancy_chart(&cfg, bench, &Scheme::Shared).render());
+        println!("{}", figures::occupancy_chart(&cfg, bench, &Scheme::ModelBased).render());
         return;
     }
 
     if args.iter().any(|a| a == "mechanism") {
-        let _ = fs::create_dir_all("results");
+        create_results_dir();
         eprintln!("[repro] comparing way vs set partitioning ...");
-        emit(Some(Path::new("results")), "mechanism", &figures::mechanism_table(&cfg));
+        emit("mechanism", &figures::mechanism_table(&cfg));
         emit(
-            Some(Path::new("results")),
             "mechanism_banked",
             &figures::mechanism_banked_table(&cfg, 8),
         );
@@ -416,18 +456,17 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "overhead") {
-        let _ = fs::create_dir_all("results");
-        emit(Some(Path::new("results")), "overhead", &figures::overhead_table(&cfg));
+        create_results_dir();
+        emit("overhead", &figures::overhead_table(&cfg));
         return;
     }
 
     if args.iter().any(|a| a == "slack") {
         eprintln!("[repro] running suite under 4 schemes ...");
         let data = SuiteData::collect(&cfg);
-        let _ = fs::create_dir_all("results");
-        let out = Some(Path::new("results"));
-        emit(out, "slack_table", &figures::slack_table(&data));
-        emit(out, "slack_critical_cpi_swim", &figures::critical_cpi_distribution(&data, "swim"));
+        create_results_dir();
+        emit("slack_table", &figures::slack_table(&data));
+        emit("slack_critical_cpi_swim", &figures::critical_cpi_distribution(&data, "swim"));
         return;
     }
 
@@ -435,8 +474,8 @@ fn main() {
         let checks = scorecard::run_scorecard(&cfg);
         let table = scorecard::scorecard_table(&checks);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/scorecard.txt", table.render());
+        create_results_dir();
+        write_result("scorecard.txt", table.render());
         let failed = checks.iter().filter(|c| !c.pass()).count();
         if failed > 0 {
             eprintln!("{failed} claim(s) out of band");
@@ -450,8 +489,8 @@ fn main() {
         let checks = scorecard::eight_plus_core_tier(&cfg);
         let table = scorecard::scorecard_table(&checks);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/eight_plus_core.txt", table.render());
+        create_results_dir();
+        write_result("eight_plus_core.txt", table.render());
         let failed = checks.iter().filter(|c| !c.pass()).count();
         if failed > 0 {
             eprintln!("{failed} claim(s) out of band");
@@ -463,12 +502,10 @@ fn main() {
     let all = args.iter().any(|a| a == "all");
     let wants = |f: &str| all || args.iter().any(|a| a == f);
 
-    let out_dir = Path::new("results");
-    let _ = fs::create_dir_all(out_dir);
-    let out_dir = Some(out_dir);
+    create_results_dir();
 
     if wants("fig2") {
-        emit(out_dir, "fig02_config", &figures::fig02_config(&cfg.system));
+        emit("fig02_config", &figures::fig02_config(&cfg.system));
     }
 
     // Motivation + time-series figures share the suite runs.
@@ -479,38 +516,38 @@ fn main() {
         eprintln!("[repro] running suite under 4 schemes ...");
         let data = SuiteData::collect(&cfg);
         if wants("fig3") {
-            emit(out_dir, "fig03_thread_performance", &figures::fig03_thread_performance(&data));
+            emit("fig03_thread_performance", &figures::fig03_thread_performance(&data));
         }
         if wants("fig4") {
-            emit(out_dir, "fig04_thread_misses", &figures::fig04_thread_misses(&data));
+            emit("fig04_thread_misses", &figures::fig04_thread_misses(&data));
         }
         if wants("fig5") {
-            emit(out_dir, "fig05_cpi_miss_correlation", &figures::fig05_cpi_miss_correlation(&data));
+            emit("fig05_cpi_miss_correlation", &figures::fig05_cpi_miss_correlation(&data));
         }
         if wants("fig6") {
-            emit(out_dir, "fig06_swim_cpi_timeline", &figures::fig06_swim_cpi_timeline(&data));
+            emit("fig06_swim_cpi_timeline", &figures::fig06_swim_cpi_timeline(&data));
         }
         if wants("fig7") {
-            emit(out_dir, "fig07_swim_miss_timeline", &figures::fig07_swim_miss_timeline(&data));
+            emit("fig07_swim_miss_timeline", &figures::fig07_swim_miss_timeline(&data));
         }
         if wants("fig8") {
-            emit(out_dir, "fig08_interthread_interaction", &figures::fig08_interthread_interaction(&data));
+            emit("fig08_interthread_interaction", &figures::fig08_interthread_interaction(&data));
         }
         if wants("fig9") {
-            emit(out_dir, "fig09_interaction_breakdown", &figures::fig09_interaction_breakdown(&data));
+            emit("fig09_interaction_breakdown", &figures::fig09_interaction_breakdown(&data));
         }
         if wants("fig19") {
-            emit(out_dir, "fig19_vs_private", &figures::fig19_vs_private(&data));
+            emit("fig19_vs_private", &figures::fig19_vs_private(&data));
             println!("{}", figures::improvement_chart(
                 "Figure 19 (chart): dynamic vs private", &data, &data.equal).render());
         }
         if wants("fig20") {
-            emit(out_dir, "fig20_vs_shared", &figures::fig20_vs_shared(&data));
+            emit("fig20_vs_shared", &figures::fig20_vs_shared(&data));
             println!("{}", figures::improvement_chart(
                 "Figure 20 (chart): dynamic vs shared", &data, &data.shared).render());
         }
         if wants("fig21") {
-            emit(out_dir, "fig21_vs_throughput", &figures::fig21_vs_throughput(&data));
+            emit("fig21_vs_throughput", &figures::fig21_vs_throughput(&data));
             println!("{}", figures::improvement_chart(
                 "Figure 21 (chart): dynamic vs throughput-oriented", &data, &data.ucp).render());
         }
@@ -520,20 +557,20 @@ fn main() {
     }
 
     if wants("fig10") {
-        emit(out_dir, "fig10_way_sensitivity", &figures::fig10_way_sensitivity(&cfg));
+        emit("fig10_way_sensitivity", &figures::fig10_way_sensitivity(&cfg));
     }
     if wants("fig11") {
-        emit(out_dir, "fig11_progress", &figures::fig11_progress_illustration(&cfg));
+        emit("fig11_progress", &figures::fig11_progress_illustration(&cfg));
     }
     if wants("fig15") {
-        emit(out_dir, "fig15_cpi_models", &figures::fig15_cpi_models(&cfg));
+        emit("fig15_cpi_models", &figures::fig15_cpi_models(&cfg));
         println!("{}", figures::fig15_chart(&cfg).render());
     }
     if wants("fig18") {
-        emit(out_dir, "fig18_cg_snapshot", &figures::fig18_cg_snapshot(&cfg));
+        emit("fig18_cg_snapshot", &figures::fig18_cg_snapshot(&cfg));
     }
     if wants("fig22") {
         eprintln!("[repro] running 8-core sensitivity ...");
-        emit(out_dir, "fig22_eight_core", &figures::fig22_eight_core(&cfg));
+        emit("fig22_eight_core", &figures::fig22_eight_core(&cfg));
     }
 }

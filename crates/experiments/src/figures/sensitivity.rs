@@ -14,6 +14,8 @@ use crate::table::{f2, Table};
 /// application differ in cache sensitivity.
 pub fn fig10_way_sensitivity(cfg: &ExperimentConfig) -> Table {
     let bench = suite::swim();
+    // The four static partitions replay one generation of the workload.
+    let cfg = &cfg.with_default_trace_cache();
     let threads = cfg.system.cores;
     let total = cfg.system.l2.ways;
     let mut table = Table::new(

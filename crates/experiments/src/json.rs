@@ -9,6 +9,12 @@ use std::fmt::Write as _;
 
 use crate::table::Table;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The writer's
+/// deepest document (a persisted result-cache entry) nests about six
+/// levels; the bound keeps the recursive parser's stack use small on
+/// untrusted input.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -72,12 +78,13 @@ impl Json {
 
     /// Parses a JSON document (the subset this writer emits: no `\u` escapes
     /// beyond what [`Json::Str`] emission produces, no exponents outside
-    /// `f64::from_str`'s grammar). Returns `None` on malformed input or
-    /// trailing garbage — callers treat that as "no previous file".
+    /// `f64::from_str`'s grammar). Returns `None` on malformed input,
+    /// trailing garbage or nesting deeper than [`MAX_DEPTH`] — callers
+    /// treat that as "no previous file".
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = Self::parse_value(bytes, &mut pos)?;
+        let value = Self::parse_value(bytes, &mut pos, 0)?;
         Self::skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(value)
@@ -101,9 +108,14 @@ impl Json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
         Self::skip_ws(bytes, pos);
-        match *bytes.get(*pos)? {
+        let first = *bytes.get(*pos)?;
+        if matches!(first, b'[' | b'{') && depth >= MAX_DEPTH {
+            return None;
+        }
+        match first {
             b'n' => Self::eat(bytes, pos, "null").map(|_| Json::Null),
             b't' => Self::eat(bytes, pos, "true").map(|_| Json::Bool(true)),
             b'f' => Self::eat(bytes, pos, "false").map(|_| Json::Bool(false)),
@@ -117,7 +129,7 @@ impl Json {
                     return Some(Json::Arr(items));
                 }
                 loop {
-                    items.push(Self::parse_value(bytes, pos)?);
+                    items.push(Self::parse_value(bytes, pos, depth + 1)?);
                     Self::skip_ws(bytes, pos);
                     match bytes.get(*pos)? {
                         b',' => *pos += 1,
@@ -145,7 +157,7 @@ impl Json {
                         return None;
                     }
                     *pos += 1;
-                    pairs.push((key, Self::parse_value(bytes, pos)?));
+                    pairs.push((key, Self::parse_value(bytes, pos, depth + 1)?));
                     Self::skip_ws(bytes, pos);
                     match bytes.get(*pos)? {
                         b',' => *pos += 1,
@@ -347,6 +359,19 @@ mod tests {
             ("nested", Json::obj(vec![("k", Json::Arr(vec![]))])),
         ]);
         assert_eq!(Json::parse(&j.to_string()), Some(j));
+    }
+
+    #[test]
+    fn parse_bounds_the_nesting_depth() {
+        // A million-deep document fails cleanly instead of overflowing the
+        // stack, open or closed, arrays or objects.
+        let n = 1_000_000;
+        assert_eq!(Json::parse(&"[".repeat(n)), None);
+        assert_eq!(Json::parse(&format!("{}{}", "[".repeat(n), "]".repeat(n))), None);
+        assert_eq!(Json::parse(&"{\"a\":".repeat(n)), None);
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_some(), "the bound itself parses");
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)), None);
     }
 
     #[test]

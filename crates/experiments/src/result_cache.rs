@@ -587,6 +587,27 @@ mod tests {
     }
 
     #[test]
+    fn a_too_deep_persisted_entry_is_a_miss() {
+        // A corrupt entry file nested a million levels deep must read as a
+        // miss (and be overwritten by the fresh simulation), not abort the
+        // process.
+        let dir =
+            std::env::temp_dir().join(format!("icp-result-cache-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let cfg = ExperimentConfig::test();
+        let bench = suite::swim();
+        let key = ResultCache::key(&bench, &cfg, &Scheme::Shared, false);
+        let path = ResultCache::entry_path(&dir, &key, "shared");
+        std::fs::write(&path, "[".repeat(1_000_000)).expect("entry written");
+        let cache = ResultCache::persistent(&dir);
+        let out = cache.get_or_run(key, "shared", || cfg.run(&bench, &Scheme::Shared));
+        assert_eq!((cache.simulations(), cache.disk_hits()), (1, 0), "a miss, not a hit");
+        assert_eq!(out.wall_cycles, cfg.run(&bench, &Scheme::Shared).wall_cycles);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_requests_for_one_key_simulate_once() {
         let cache = ResultCache::new();
         let cfg = ExperimentConfig::test();

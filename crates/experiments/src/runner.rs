@@ -5,7 +5,7 @@ use icp_baselines::{
     FairnessOrientedPolicy, ModelThroughputPolicy, SharedCachePolicy, StaticEqualPolicy,
     StaticPolicy, UcpThroughputPolicy,
 };
-use icp_cmp_sim::{AccessStream, Llc, Machine, Simulator, SystemConfig};
+use icp_cmp_sim::{AccessStream, Llc, Machine, SystemConfig};
 use icp_core::policy::Partitioner;
 use icp_core::{
     CpiProportionalPolicy, ExecutionOutcome, HierarchicalPolicy, IntraAppRuntime,
@@ -115,8 +115,9 @@ pub struct ExperimentConfig {
     pub enforcement: icp_cmp_sim::EnforcementKind,
     /// Optional shared trace cache: when set, each distinct workload is
     /// generated once, packed, and replayed zero-copy for every scheme run
-    /// (see [`crate::trace_cache::TraceCache`]). `None` regenerates streams
-    /// per run — bit-identical results either way.
+    /// (see [`crate::trace_cache::TraceCache`]). `None` generates each
+    /// run's workload into a private cache — bit-identical results either
+    /// way.
     pub trace_cache: Option<std::sync::Arc<crate::trace_cache::TraceCache>>,
     /// Optional shared result cache: when set, each distinct
     /// (benchmark, system, scale, seed, scheme) simulation runs once and
@@ -247,40 +248,47 @@ impl ExperimentConfig {
 
     /// One full simulation of `spec` (already normalised) under `scheme`,
     /// with a profiling utility monitor attached when `profile` is set.
-    /// Monolithic configs run the serial [`Simulator`]; sliced configs
-    /// (`system.llc.slices > 1`) run the slice-parallel [`Llc`] machine —
-    /// same runtime loop either way, via the [`Machine`] trait.
+    /// Every config runs the sliced [`Llc`] machine (one slice is the
+    /// paper's monolithic L2, bit for bit), built over the workload's
+    /// per-slice sub-traces from the trace cache — a private one when none
+    /// is attached — so schemes sharing a cache share one split and the
+    /// machine copies no trace.
     fn simulate(&self, spec: &BenchmarkSpec, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
-        let streams = self.streams(spec);
-        if self.system.llc.slices > 1 {
-            self.drive(&mut Llc::new(self.system, streams), scheme, profile)
-        } else {
-            self.drive(&mut Simulator::new(self.system, streams), scheme, profile)
-        }
-    }
-
-    /// The event streams of `spec` (already normalised): replayed from the
-    /// trace cache when one is attached, generated inline otherwise —
-    /// bit-identical either way.
-    pub(crate) fn streams(&self, spec: &BenchmarkSpec) -> Vec<Box<dyn AccessStream>> {
-        match &self.trace_cache {
-            Some(cache) => cache.replay_streams(spec, &self.system, self.scale, self.seed),
-            None => spec.build_streams(&self.system, self.scale, self.seed),
-        }
-    }
-
-    /// Configures a machine and executes `scheme`'s runtime loop on it.
-    fn drive<M: Machine>(&self, sim: &mut M, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
-        sim.set_replacement(self.replacement);
-        sim.set_enforcement(self.enforcement);
+        let cache = self.trace_cache.clone().unwrap_or_default();
+        let traces = cache.get_or_pack(spec, &self.system, self.scale, self.seed);
+        let mut llc = Llc::from_traces(self.system, &traces);
+        llc.set_replacement(self.replacement);
+        llc.set_enforcement(self.enforcement);
         if profile {
             // Passive observation: the monitor shadows the L2 with sampled
             // ATDs but never feeds back into it, so simulated counters are
             // bit-identical with and without it (pinned by a runtime test).
-            sim.enable_umon(1);
+            llc.enable_umon(1);
         }
         let mut runtime = IntraAppRuntime::new(scheme.policy(), &self.system);
-        runtime.execute(sim)
+        runtime.execute(&mut llc)
+    }
+
+    /// The event streams of `spec` (already normalised) for a monolithic
+    /// [`icp_cmp_sim::Simulator`]: replayed from the trace cache when one
+    /// is attached, generated inline otherwise — bit-identical either way.
+    ///
+    /// # Panics
+    /// Panics on a sliced config: a cached sliced workload replays
+    /// re-joined from its per-slice sub-traces ([`TraceCache::replay_streams`]),
+    /// in an across-slice order that only an [`Llc`] of the same topology
+    /// is blind to.
+    ///
+    /// [`TraceCache::replay_streams`]: crate::trace_cache::TraceCache::replay_streams
+    pub(crate) fn streams(&self, spec: &BenchmarkSpec) -> Vec<Box<dyn AccessStream>> {
+        assert!(
+            self.system.llc.slices <= 1,
+            "streams feed a monolithic Simulator"
+        );
+        match &self.trace_cache {
+            Some(cache) => cache.replay_streams(spec, &self.system, self.scale, self.seed),
+            None => spec.build_streams(&self.system, self.scale, self.seed),
+        }
     }
 
     /// [`Self::run`] or, with `profile` set, [`Self::run_profiled`].
@@ -321,9 +329,11 @@ impl ExperimentConfig {
     }
 
     /// Runs `bench` under several schemes on budget-leased workers,
-    /// preserving order.
+    /// preserving order. The runs share one generation of the workload: a
+    /// trace cache scoped to the call is attached when none is.
     pub fn run_schemes(&self, bench: &BenchmarkSpec, schemes: &[Scheme]) -> Vec<ExecutionOutcome> {
-        crate::sched::parallel_map(schemes.to_vec(), |s| self.run(bench, s))
+        let cfg = self.with_default_trace_cache();
+        crate::sched::parallel_map(schemes.to_vec(), |s| cfg.run(bench, s))
     }
 }
 
@@ -403,7 +413,7 @@ mod tests {
     #[test]
     fn sliced_topology_routes_through_llc_machine() {
         // One slice through with_topology must equal the monolithic path
-        // bit for bit (the N = 1 degenerate case runs the serial engine).
+        // bit for bit (both run a one-slice Llc over the same cache key).
         let mono = ExperimentConfig::test().with_cores(8);
         let one = ExperimentConfig::test().with_topology(8, 1);
         let a = mono.run(&suite::mg(), &Scheme::ModelBased);

@@ -297,6 +297,8 @@ fn allocator_speedup(profile: &icp_cmp_sim::UmonProfile, clusters: usize) -> f64
 /// 3. partitioning gains persist on sliced machines (16t and 8t).
 pub fn eight_plus_core_tier(cfg: &ExperimentConfig) -> Vec<Check> {
     let bench = suite::mgrid();
+    // Every run of a topology replays one shared split of the workload.
+    let cfg = cfg.with_default_trace_cache();
     let c16 = cfg.clone().with_topology(16, 4);
     let outs = c16.run_schemes(
         &bench,
@@ -315,7 +317,7 @@ pub fn eight_plus_core_tier(cfg: &ExperimentConfig) -> Vec<Check> {
     let allocator_speedup = allocator_speedup(&profile, 4);
     let ws_delta = weighted_speedup(look, equal) - weighted_speedup(hill, equal);
 
-    let c8 = cfg.clone().with_topology(8, 2);
+    let c8 = cfg.with_topology(8, 2);
     let outs8 = c8.run_schemes(&bench, &[Scheme::Shared, Scheme::ModelBased]);
 
     vec![

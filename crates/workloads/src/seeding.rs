@@ -2,9 +2,9 @@
 //!
 //! Every access stream in a run must be (a) reproducible from one `u64`
 //! master seed and (b) statistically independent of every other stream —
-//! per-thread generation (including the parallel producer threads of
-//! `BenchmarkSpec::pack_streams_parallel`) relies on thread `t`'s RNG
-//! never depending on when, or whether, thread `u`'s events are drawn.
+//! per-thread generation (including the trace cache's parallel recorders
+//! of `BenchmarkSpec::split_thread`) relies on thread `t`'s RNG never
+//! depending on when, or whether, thread `u`'s events are drawn.
 //!
 //! The chain, fixed for all time because simulation digests pin it:
 //!

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use icp_cmp_sim::slice::SliceTopology;
 use icp_cmp_sim::stream::AccessStream;
 use icp_cmp_sim::{PackedTrace, SystemConfig};
 
@@ -212,14 +213,7 @@ impl BenchmarkSpec {
         scale: WorkloadScale,
         seed: u64,
     ) -> Vec<Box<dyn AccessStream>> {
-        self.validate();
-        assert_eq!(
-            cfg.cores,
-            self.threads.len(),
-            "spec has {} threads but system has {} cores",
-            self.threads.len(),
-            cfg.cores
-        );
+        self.check(cfg);
         self.threads
             .iter()
             .enumerate()
@@ -229,37 +223,30 @@ impl BenchmarkSpec {
             .collect()
     }
 
-    /// Materialises every thread's stream once into shared packed traces,
-    /// with generation fanned over producer threads leased from the process
-    /// core budget ([`icp_cmp_sim::budget`]).
-    ///
-    /// This is the generate-once half of the record-once/simulate-many
-    /// pattern: each returned trace can serve any number of zero-copy
-    /// [`PackedTrace::stream`] replays (one per partitioning scheme), and
-    /// the generation cost — the Zipf sampling dominating stream cost — is
-    /// paid exactly once. `max_events` bounds each thread's recording (see
-    /// [`PackedTrace::record`]); pass `usize::MAX` for the full run.
-    ///
-    /// Thread streams are seeded from independent forks of the master RNG,
-    /// so their recordings are order-independent: each producer generates
-    /// a contiguous chunk of streams straight into packed columns, and
-    /// concatenating chunks in thread order yields exactly the traces a
-    /// single thread would record. Up to `threads - 1` extra workers are
-    /// leased and returned at the join; with a dry pool the caller
-    /// generates everything itself — bit-identical either way. The serial
-    /// reference is this call under
-    /// `budget::scoped(CoreBudget::new(1), ..)` (asserted by the
-    /// `parallel_pack_matches_one_core_budget` test).
+    /// Records thread `t`'s stream straight into its per-slice packed
+    /// sub-traces for `cfg`'s LLC topology ([`SliceTopology::split`]); at
+    /// one slice that is the single whole trace [`PackedTrace::record`]
+    /// stores. Thread streams are seeded from independent forks of the
+    /// master RNG, so the result is a pure function of (spec, `t`, `cfg`,
+    /// `scale`, `seed`), whichever thread records it and whenever.
     ///
     /// # Panics
-    /// Same conditions as [`Self::build_streams`].
-    pub fn pack_streams_parallel(
+    /// Same conditions as [`Self::build_streams`], or if `t` is not a
+    /// thread of the spec.
+    pub fn split_thread(
         &self,
+        t: usize,
         cfg: &SystemConfig,
         scale: WorkloadScale,
         seed: u64,
-        max_events: usize,
     ) -> Vec<Arc<PackedTrace>> {
+        self.check(cfg);
+        let mut s = SyntheticStream::new(self, &self.threads[t], t, cfg, scale, seed);
+        SliceTopology::of(cfg).split(&mut s)
+    }
+
+    /// Validates the spec and that it has one thread per simulated core.
+    fn check(&self, cfg: &SystemConfig) {
         self.validate();
         assert_eq!(
             cfg.cores,
@@ -268,45 +255,6 @@ impl BenchmarkSpec {
             self.threads.len(),
             cfg.cores
         );
-        let n = self.threads.len();
-        let record = |t: usize| {
-            let mut s = SyntheticStream::new(self, &self.threads[t], t, cfg, scale, seed);
-            Arc::new(PackedTrace::record(&mut s, max_events))
-        };
-        let lease = icp_cmp_sim::budget::current().lease(n.saturating_sub(1));
-        let workers = (1 + lease.tokens()).min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return (0..n).map(record).collect();
-        }
-        // Contiguous chunks of thread indices, one per worker; the caller
-        // works chunk 0 while the leased workers run the rest. Chunk
-        // results concatenated in thread order reproduce the serial output.
-        let base = n / workers;
-        let extra = n % workers;
-        let mut starts = Vec::with_capacity(workers + 1);
-        let mut at = 0;
-        for i in 0..workers {
-            starts.push(at);
-            at += base + usize::from(i < extra);
-        }
-        starts.push(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers)
-                .map(|i| {
-                    let range = starts[i]..starts[i + 1];
-                    scope.spawn(move || range.map(record).collect::<Vec<_>>())
-                })
-                .collect();
-            let mut traces: Vec<Arc<PackedTrace>> = (starts[0]..starts[1]).map(record).collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => traces.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            traces
-        })
-        // `lease` drops here: tokens return at the join boundary.
     }
 
     /// Re-targets the spec to `n` threads by cycling the existing thread
@@ -395,23 +343,5 @@ mod tests {
         let s = sample_spec();
         let cfg = SystemConfig::scaled_down(); // 4 cores, spec has 2
         s.build_streams(&cfg, WorkloadScale::Test, 1);
-    }
-
-    #[test]
-    fn parallel_pack_matches_one_core_budget() {
-        use icp_cmp_sim::budget::{self, CoreBudget};
-
-        let s = sample_spec();
-        let mut cfg = SystemConfig::scaled_down();
-        cfg.cores = s.threads.len();
-        for max_events in [usize::MAX, 100] {
-            let pack = || s.pack_streams_parallel(&cfg, WorkloadScale::Test, 9, max_events);
-            let serial = budget::scoped(CoreBudget::new(1), pack);
-            let parallel = budget::scoped(CoreBudget::new(2), pack);
-            assert_eq!(serial.len(), parallel.len());
-            for (t, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
-                assert_eq!(a, b, "thread {t} max_events {max_events}");
-            }
-        }
     }
 }

@@ -1,6 +1,7 @@
-//! The `repro` command line: a command it does not know, or a second
-//! command beside one that runs alone, is an error that names every
-//! command it does know, never a silent no-op.
+//! The `repro` command line: a command it does not know, a second command
+//! beside one that runs alone, or an operand it cannot use is an error
+//! that names every command it does know, never a silent no-op; an output
+//! it cannot write is an error that names the output.
 
 use std::process::{Command, Output};
 
@@ -65,4 +66,39 @@ fn a_known_command_still_runs() {
     let out = repro(&["describe"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("swim"));
+}
+
+#[test]
+fn an_unknown_benchmark_operand_exits_2_with_the_full_usage() {
+    assert_usage_error(&["dump", "nope", "shared"]);
+    assert_usage_error(&["occupancy", "nope"]);
+}
+
+#[test]
+fn an_unknown_dump_scheme_exits_2_with_the_full_usage() {
+    assert_usage_error(&["dump", "ft", "bogus"]);
+}
+
+#[test]
+fn a_non_numeric_dump_cores_operand_exits_2_with_the_full_usage() {
+    assert_usage_error(&["dump", "ft", "shared", "four"]);
+}
+
+/// `results` is a plain file here, so no table can be saved: the run must
+/// fail and say where, not print its tables and exit 0.
+#[test]
+fn an_unwritable_results_directory_fails_naming_it() {
+    let dir = std::env::temp_dir().join(format!("icp-cli-results-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp directory");
+    std::fs::write(dir.join("results"), "not a directory").expect("results file");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig2", "--scale", "test"])
+        .current_dir(&dir)
+        .output()
+        .expect("the repro binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "repro fig2 succeeded without writing anything");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("results"), "the error names the output:\n{stderr}");
 }

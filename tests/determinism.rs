@@ -131,33 +131,47 @@ fn sliced_config(slices: u32) -> SystemConfig {
 
 /// The digest matrix: slice counts {1, 4, 8} × core budget {1, 8} ×
 /// stream delivery {inline generation, trace-cache cold, trace-cache
-/// warm}. Budget 1 runs every slice inline; budget 8 gives every slice a
-/// worker. Within one slice count every cell must produce the same digest
-/// bit for bit — the promise the `#[deterministic]` annotations (and
-/// icp-lint's D-rules) encode statically.
+/// warm, trace-cache split}. Budget 1 runs every slice inline; budget 8
+/// gives every slice a worker. Within one slice count every cell must
+/// produce the same digest bit for bit — the promise the
+/// `#[deterministic]` annotations (and icp-lint's D-rules) encode
+/// statically.
 #[test]
 fn slice_cache_budget_matrix_is_digest_identical() {
     let bench = suite::cg();
-    // Generation is slice-blind, so every cell draws its streams from the
-    // monolithic config and one trace-cache key serves the whole matrix.
+    // The streams do not depend on the slice count, so the whole-stream
+    // cells draw them from the monolithic config and one trace-cache key
+    // serves the matrix.
     let base = SystemConfig::scaled_down();
     let cache = TraceCache::shared();
     let replay = || cache.replay_streams(&bench, &base, WorkloadScale::Test, MATRIX_SEED);
+    // The split cells replay each slice count's own entry: the per-slice
+    // sub-traces the runner's machines share.
+    let splits = TraceCache::shared();
     for n in [1u32, 4, 8] {
         let cfg = sliced_config(n);
         let mut expected: Option<(u64, GlobalStats, u64)> = None;
         for total in [1usize, 8] {
-            let variants: Vec<(&str, Vec<Box<dyn AccessStream>>)> = vec![
-                ("inline", bench.build_streams(&base, WorkloadScale::Test, MATRIX_SEED)),
+            let variants: Vec<(&str, Llc)> = vec![
+                (
+                    "inline",
+                    Llc::new(cfg, bench.build_streams(&base, WorkloadScale::Test, MATRIX_SEED)),
+                ),
                 // The first call of the whole test generates (cold); every
                 // later call replays the cached packed columns (warm).
-                ("cache-cold", replay()),
-                ("cache-warm", replay()),
+                ("cache-cold", Llc::new(cfg, replay())),
+                ("cache-warm", Llc::new(cfg, replay())),
+                (
+                    "cache-split",
+                    Llc::from_traces(
+                        cfg,
+                        &splits.get_or_pack(&bench, &cfg, WorkloadScale::Test, MATRIX_SEED),
+                    ),
+                ),
             ];
-            for (label, streams) in variants {
-                let (wall, stats) = budget::scoped(CoreBudget::new(total), || {
-                    run_sliced(Llc::new(cfg, streams), &cfg)
-                });
+            for (label, llc) in variants {
+                let (wall, stats) =
+                    budget::scoped(CoreBudget::new(total), || run_sliced(llc, &cfg));
                 let d = digest(wall, &stats);
                 match &expected {
                     None => expected = Some((wall, stats, d)),
@@ -176,6 +190,8 @@ fn slice_cache_budget_matrix_is_digest_identical() {
         11,
         "3 slice counts x 2 budgets x 2 cache cells, all but the first served warm"
     );
+    assert_eq!(splits.generations(), 3, "one split per slice count");
+    assert_eq!(splits.hits(), 3, "the second budget replays each split");
 }
 
 /// Core-budget arbitration must never change results — only where and
@@ -211,15 +227,17 @@ fn budget_invariance_matrix_is_digest_identical() {
 
 /// The lease watermark bounds live workers: every spawned worker in the
 /// workspace holds a leased token, so even the deepest nesting we have —
-/// a scheme map whose jobs each run a sliced LLC with slice workers of
-/// their own — can never exceed the budget, and every token comes back
-/// once the run's leases drop.
+/// a scheme map whose jobs share one trace cache, each recording the
+/// workload's unclaimed threads on producers of its own and then running
+/// a sliced LLC with slice workers of its own — can never exceed the
+/// budget, and every token comes back once the run's leases drop.
 #[test]
 fn thread_peak_never_exceeds_budget() {
-    let cfg = ExperimentConfig::test().with_topology(4, 4);
     let bench = suite::ft();
     let schemes = [Scheme::Shared, Scheme::StaticEqual, Scheme::ModelBased];
     for total in [1usize, 2, 3] {
+        let cfg =
+            ExperimentConfig::test().with_topology(4, 4).with_trace_cache(TraceCache::shared());
         let b = CoreBudget::new(total);
         budget::scoped(Arc::clone(&b), || {
             for out in cfg.run_schemes(&bench, &schemes) {
@@ -398,6 +416,17 @@ fn pinned_mix(threads: usize) -> BenchmarkSpec {
     b.build()
 }
 
+/// Each thread's first `PINNED_EVENTS` events recorded into a packed
+/// trace, the threads fanned over producers leased from the current core
+/// budget ([`budget::fan_out`]) as the trace cache records them.
+fn record_pinned(spec: &BenchmarkSpec, cfg: &SystemConfig, seed: u64) -> Vec<Arc<PackedTrace>> {
+    budget::fan_out(spec.threads.len(), |t| {
+        let scale = WorkloadScale::Figure;
+        let mut s = SyntheticStream::new(spec, &spec.threads[t], t, cfg, scale, seed);
+        Arc::new(PackedTrace::record(&mut s, PINNED_EVENTS))
+    })
+}
+
 /// The 4-thread interleaved path: the mix replayed from packed traces
 /// under an equal way partition with 8 L2 banks. The run retires exactly
 /// the instructions and accesses the traces hold.
@@ -405,12 +434,7 @@ fn pinned_mix(threads: usize) -> BenchmarkSpec {
 fn pinned_interleaved_4t_digest() {
     let mut cfg = pinned_config(4);
     cfg.l2_banks = 8;
-    let traces = pinned_mix(4).pack_streams_parallel(
-        &cfg,
-        WorkloadScale::Figure,
-        PINNED_4T_SEED,
-        PINNED_EVENTS,
-    );
+    let traces = record_pinned(&pinned_mix(4), &cfg, PINNED_4T_SEED);
     let replays: Vec<Box<dyn AccessStream>> = traces
         .iter()
         .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
@@ -457,13 +481,12 @@ fn pinned_generation_digest_across_paths() {
     cfg.l2_banks = 8;
     let spec = pinned_mix(4);
     for total in [1usize, 2] {
-        let traces = budget::scoped(CoreBudget::new(total), || {
-            spec.pack_streams_parallel(&cfg, WorkloadScale::Figure, PINNED_4T_SEED, PINNED_EVENTS)
-        });
+        let traces =
+            budget::scoped(CoreBudget::new(total), || record_pinned(&spec, &cfg, PINNED_4T_SEED));
         assert_eq!(
             generation_digest(&trace_counters(&traces)),
             PINNED,
-            "pack_streams_parallel at budget {total}"
+            "fanned-out recording at budget {total}"
         );
     }
 
@@ -500,8 +523,7 @@ fn pinned_sliced_digest(cores: usize, slices: u32) -> u64 {
     let mut cfg = pinned_config(cores);
     cfg.l2_banks = 8;
     cfg.llc = LlcConfig::sliced(slices);
-    let streams: Vec<_> = pinned_mix(cores)
-        .pack_streams_parallel(&cfg, WorkloadScale::Figure, 0x511C_ED16, PINNED_EVENTS)
+    let streams: Vec<_> = record_pinned(&pinned_mix(cores), &cfg, 0x511C_ED16)
         .iter()
         .map(PackedTrace::stream)
         .collect();

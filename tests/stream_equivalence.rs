@@ -12,10 +12,11 @@
 //! plus the wall clock must match inline generation exactly.
 
 use icp::experiments::{ExperimentConfig, Scheme, TraceCache};
+use icp::runtime::{ExecutionOutcome, IntraAppRuntime};
 use icp::sim::budget::{self, CoreBudget};
 use icp::sim::l2::equal_split;
 use icp::sim::stream::{AccessStream, ThreadEvent};
-use icp::sim::{GlobalStats, PackedTrace, Simulator, SystemConfig};
+use icp::sim::{GlobalStats, Llc, Machine, PackedTrace, Simulator, SystemConfig};
 use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadScale};
 
 const SEED: u64 = 0x5EED_0004;
@@ -36,15 +37,24 @@ fn inline_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn Acces
     spec.build_streams(cfg, WorkloadScale::Test, SEED)
 }
 
-/// Replays of traces packed serially: the packer under a one-core budget.
-fn packed_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
-    let traces = budget::scoped(CoreBudget::new(1), || {
-        spec.pack_streams_parallel(cfg, WorkloadScale::Test, SEED, usize::MAX)
-    });
-    traces
+/// Zero-copy replays of one-slice splits: each thread's whole trace.
+fn replays(splits: &[Vec<std::sync::Arc<PackedTrace>>]) -> Vec<Box<dyn AccessStream>> {
+    splits
         .iter()
-        .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
+        .map(|subs| {
+            assert_eq!(subs.len(), 1, "a monolithic split is the whole trace");
+            Box::new(PackedTrace::stream(&subs[0])) as Box<dyn AccessStream>
+        })
         .collect()
+}
+
+/// Replays of traces recorded serially, one thread after another, by the
+/// trace cache's recorder ([`BenchmarkSpec::split_thread`] at one slice).
+fn packed_streams(spec: &BenchmarkSpec, cfg: &SystemConfig) -> Vec<Box<dyn AccessStream>> {
+    let splits: Vec<_> = (0..spec.threads.len())
+        .map(|t| spec.split_thread(t, cfg, WorkloadScale::Test, SEED))
+        .collect();
+    replays(&splits)
 }
 
 /// Packed replay: simulations over record-once packed traces are
@@ -89,42 +99,63 @@ fn columnar_generation_identical_across_suite() {
     }
 }
 
-/// Parallel materialisation: simulations over traces packed by per-thread
-/// producer threads are bit-identical to inline generation, for every
-/// suite workload.
+/// Parallel materialisation: simulations over traces the trace cache
+/// records on per-thread producer threads are bit-identical to inline
+/// generation, for every suite workload.
 #[test]
 fn parallel_packed_replay_identical_across_suite() {
     let cfg = SystemConfig::scaled_down();
     for spec in suite::all() {
-        let replays: Vec<Box<dyn AccessStream>> = spec
-            .pack_streams_parallel(&cfg, WorkloadScale::Test, SEED, usize::MAX)
-            .iter()
-            .map(|t| Box::new(PackedTrace::stream(t)) as Box<dyn AccessStream>)
-            .collect();
+        // One producer per thread: every thread is recorded concurrently.
+        let splits = budget::scoped(CoreBudget::new(spec.threads.len()), || {
+            TraceCache::new().get_or_pack(&spec, &cfg, WorkloadScale::Test, SEED)
+        });
         let (wall_a, stats_a) = simulate(cfg, inline_streams(&spec, &cfg));
-        let (wall_b, stats_b) = simulate(cfg, replays);
+        let (wall_b, stats_b) = simulate(cfg, replays(&splits));
         assert_eq!(wall_a, wall_b, "{}: wall clock diverged", spec.name);
         assert_eq!(stats_a, stats_b, "{}: stats diverged", spec.name);
     }
 }
 
+/// `scheme`'s runtime loop on a machine built straight from freshly
+/// generated streams, configured as the experiment runner configures its
+/// own: the reference no cache takes part in.
+fn inline_run(cfg: &ExperimentConfig, spec: &BenchmarkSpec, scheme: &Scheme) -> ExecutionOutcome {
+    fn drive<M: Machine>(cfg: &ExperimentConfig, sim: &mut M, scheme: &Scheme) -> ExecutionOutcome {
+        sim.set_replacement(cfg.replacement);
+        sim.set_enforcement(cfg.enforcement);
+        IntraAppRuntime::new(scheme.policy(), &cfg.system).execute(sim)
+    }
+    let streams = spec.build_streams(&cfg.system, cfg.scale, cfg.seed);
+    if cfg.system.llc.slices > 1 {
+        drive(cfg, &mut Llc::new(cfg.system, streams), scheme)
+    } else {
+        drive(cfg, &mut Simulator::new(cfg.system, streams), scheme)
+    }
+}
+
 /// The full experiment path: outcomes served through a `TraceCache` equal
-/// fresh-generation outcomes under a dynamic policy, and one figures-style
-/// pass over the suite generates each workload exactly once.
+/// outcomes over inline generation under a dynamic policy, on the
+/// monolithic L2 and on a 4-slice LLC, and one figures-style pass over
+/// the suite generates each workload exactly once.
 #[test]
 fn trace_cached_runner_identical_and_generates_once() {
-    let plain = ExperimentConfig::test();
-    let cache = TraceCache::shared();
-    let cached = plain.clone().with_trace_cache(std::sync::Arc::clone(&cache));
     let schemes = [Scheme::Shared, Scheme::ModelBased];
-    for spec in suite::all() {
-        for scheme in &schemes {
-            let a = plain.run(&spec, scheme);
-            let b = cached.run(&spec, scheme);
-            assert_eq!(a.wall_cycles, b.wall_cycles, "{} {scheme:?}", spec.name);
-            assert_eq!(a.thread_totals, b.thread_totals, "{} {scheme:?}", spec.name);
+    for plain in [ExperimentConfig::test(), ExperimentConfig::test().with_topology(4, 4)] {
+        let slices = plain.system.llc.slices;
+        let cache = TraceCache::shared();
+        let cached = plain.clone().with_trace_cache(std::sync::Arc::clone(&cache));
+        for spec in suite::all() {
+            for scheme in &schemes {
+                let a = inline_run(&plain, &spec, scheme);
+                let b = cached.run(&spec, scheme);
+                let at = format!("{} {scheme:?} at {slices} slices", spec.name);
+                assert_eq!(a.wall_cycles, b.wall_cycles, "{at}");
+                assert_eq!(a.thread_totals, b.thread_totals, "{at}");
+                assert_eq!(a.records.len(), b.records.len(), "{at}");
+            }
         }
+        assert_eq!(cache.generations(), 9, "each suite workload generated exactly once");
+        assert_eq!(cache.hits(), 9, "second scheme of each pair served from cache");
     }
-    assert_eq!(cache.generations(), 9, "each suite workload generated exactly once");
-    assert_eq!(cache.hits(), 9, "second scheme of each pair served from cache");
 }
